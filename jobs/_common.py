@@ -13,27 +13,10 @@ from pathlib import Path
 
 import pandas as pd
 
+from repro.sparkconf import get_spark  # noqa: F401  (the jobs' session builder)
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = REPO_ROOT / "results"
-
-
-def get_spark(app: str):
-    """Local SparkSession mirroring the conftest fixture settings."""
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        "--master local[*] --driver-memory 8g "
-        "--conf spark.driver.host=127.0.0.1 "
-        "--conf spark.ui.enabled=false pyspark-shell",
-    )
-    from pyspark.sql import SparkSession
-
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "32")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
 
 
 def save_table(df: pd.DataFrame, name: str, title: str) -> None:

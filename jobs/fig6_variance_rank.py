@@ -22,6 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _common import env_int, save_table  # noqa: E402
 
 from repro.core.kseg import all_segments  # noqa: E402
+from repro.core.pipeline import _aligned_matrix  # noqa: E402
 from repro.core.segcost import ALL_METRICS, costs_for_segments  # noqa: E402
 from repro.core.space import ExplanationSpace  # noqa: E402
 from repro.core.toplists import compute_toplists, object_segments  # noqa: E402
@@ -36,9 +37,7 @@ from repro.eval.metrics import (  # noqa: E402
 def metric_cost_tables(sd: synthetic.SynthData):
     """Cost dict per metric for every segment of one dataset."""
     space = ExplanationSpace(sd.labels, sd.attrs)
-    S_al = np.zeros((space.n_nodes, sd.n))
-    for r, e in enumerate(sd.labels):
-        S_al[space.id_of[e]] = sd.S[r]
+    S_al = _aligned_matrix(sd.S, sd.labels, space)
     segs = all_segments(range(sd.n))
     obj_tl = compute_toplists(S_al, space, object_segments(sd.n), m=3, use_gv=False)
     cen_tl = compute_toplists(S_al, space, segs, m=3, use_gv=False)

@@ -22,7 +22,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.cascading import topm_nonoverlapping
-from repro.core.precompute import VAL, _gcol, grouping_sets_agg, order_col
+from repro.core.precompute import VAL, _gcol, _q, grouping_sets_agg, order_col
 from repro.core.space import ExplanationSpace
 from repro.core.types import Explanation
 
@@ -42,18 +42,19 @@ def two_relation_diff(
     gcols = [_gcol(a) for a in attrs]
     t = grouping_sets_agg(test_df, attrs, measure_expr, agg, beta_max).alias("t")
     c = grouping_sets_agg(control_df, attrs, measure_expr, agg, beta_max).alias("c")
+
+    def tc(side: str, name: str):
+        return F.col(f"{side}.{_q(name)}")
+
     cond = reduce(
         lambda a, b: a & b,
-        [F.col(f"t.{a}").eqNullSafe(F.col(f"c.{a}")) for a in attrs]
-        + [F.col(f"t.{g}") == F.col(f"c.{g}") for g in gcols],
+        [tc("t", a).eqNullSafe(tc("c", a)) for a in attrs]
+        + [tc("t", g) == tc("c", g) for g in gcols],
     )
     joined = t.join(c, on=cond, how="full_outer")
-    diff = F.coalesce(F.col(f"t.{VAL}"), F.lit(0.0)) - F.coalesce(
-        F.col(f"c.{VAL}"), F.lit(0.0)
-    )
+    diff = F.coalesce(tc("t", VAL), F.lit(0.0)) - F.coalesce(tc("c", VAL), F.lit(0.0))
     sel = (
-        [F.coalesce(F.col(f"t.{a}"), F.col(f"c.{a}")).alias(a) for a in attrs]
-        + [F.coalesce(F.col(f"t.{g}"), F.col(f"c.{g}")).alias(g) for g in gcols]
+        [F.coalesce(tc("t", k), tc("c", k)).alias(k) for k in (*attrs, *gcols)]
         + [F.abs(diff).alias("gamma"), F.signum(diff).cast("int").alias("tau")]
     )
     out = joined.select(*sel)

@@ -2,8 +2,8 @@
 
 An explanation whose series never reaches ``ratio`` (default 0.001) of the
 overall aggregated series at any timestamp has negligible support and is
-dropped before the expensive stages. Matrix form here; the Spark relational
-form lives in :mod:`repro.core.precompute`.
+dropped before the expensive stages. It runs on the pivoted eps x n matrix
+that :mod:`repro.core.precompute` builds.
 """
 from __future__ import annotations
 

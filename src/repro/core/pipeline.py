@@ -101,6 +101,35 @@ def _aligned_matrix(
     return out
 
 
+def cut_segments(cuts: Sequence[int], n: int) -> List[Tuple[int, int]]:
+    """The (start, end) segments that interior ``cuts`` make of range(n)."""
+    bounds = [0] + sorted(int(c) for c in cuts) + [n - 1]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def segment_results(
+    tl: TopLists,
+    space: ExplanationSpace,
+    segs: Sequence[Tuple[int, int]],
+    times: Sequence,
+) -> List[SegmentResult]:
+    """Attach each segment's ranked top explanations from ``tl``."""
+    out: List[SegmentResult] = []
+    for s, e in segs:
+        row = tl.row((s, e))
+        expl = [
+            (space.explanations[int(j)].label, int(sg), float(g))
+            for j, g, sg in zip(tl.ids[row], tl.gammas[row], tl.signs[row])
+            if j >= 0
+        ]
+        out.append(
+            SegmentResult(
+                start=s, end=e, start_t=times[s], end_t=times[e], explanations=expl
+            )
+        )
+    return out
+
+
 def explain_series(
     S: np.ndarray,
     labels: Sequence[Explanation],
@@ -172,22 +201,6 @@ def explain_series(
     timings["kseg"] = time.perf_counter() - t0
     timings["total"] = sum(timings.values())
 
-    bounds = [0] + cuts + [n - 1]
-    seg_results: List[SegmentResult] = []
-    for i in range(len(bounds) - 1):
-        s, e = bounds[i], bounds[i + 1]
-        row = cen_tl.row((s, e))
-        expl = [
-            (space.explanations[int(j)].label, int(sg), float(g))
-            for j, g, sg in zip(cen_tl.ids[row], cen_tl.gammas[row], cen_tl.signs[row])
-            if j >= 0
-        ]
-        seg_results.append(
-            SegmentResult(
-                start=s, end=e, start_t=times[s], end_t=times[e], explanations=expl
-            )
-        )
-
     return ExplainResult(
         n=n,
         epsilon=epsilon,
@@ -196,7 +209,7 @@ def explain_series(
         cuts=cuts,
         total_variance=float(dp.totals[K]),
         curve=dp.curve(),
-        segments=seg_results,
+        segments=segment_results(cen_tl, space, cut_segments(cuts, n), times),
         timings=timings,
         positions=[int(p) for p in positions],
     )
@@ -209,7 +222,6 @@ def explain_relation(
     measure_expr: str,
     agg: str = "sum",
     cfg: Config = Config(),
-    use_spark_ca: bool = True,
 ) -> ExplainResult:
     """Full Spark path: Catalyst GROUPING SETS cube → matrix → explain."""
     from repro.core.precompute import series_matrix
@@ -224,7 +236,7 @@ def explain_relation(
         sm.total,
         cfg,
         times=sm.times,
-        spark=df.sparkSession if use_spark_ca else None,
+        spark=df.sparkSession,
     )
     res.timings["precompute"] += spark_time
     res.timings["total"] += spark_time

@@ -1,7 +1,8 @@
-"""Pipeline module (a): per-explanation aggregated series via Spark SQL.
+"""Pipeline module (a): per-explanation aggregated series via Spark.
 
 The data cube the paper assumes ("data cube is typically maintained in
-memory") is computed here as one Catalyst aggregation:
+memory") is computed here as one Catalyst aggregation, built with
+``DataFrame.groupingSets``; in SQL terms
 
     SELECT T, A_1..A_k, grouping(A_i).., f(M)
     FROM R GROUP BY GROUPING SETS ((T), (T,A_1), .., (T,A_i,A_j), ..)
@@ -9,24 +10,22 @@ memory") is computed here as one Catalyst aggregation:
 with one grouping set per attribute subset of size 0..beta_max. The size-0
 set yields the overall aggregated time series ts(R); every other row belongs
 to one candidate explanation's series ts(sigma_E R). The result is pivoted to
-an eps x n matrix for the downstream numpy/DP stages.
-
-Also hosts the relational form of the support filter and a window-function
-helper for per-explanation deltas.
+an eps x n matrix for the downstream numpy/DP stages; the support filter runs
+on that matrix (:mod:`repro.core.filtering`). ``series_matrix_pandas`` is the
+pure-pandas mirror used by driver-side jobs and as the cube's test oracle.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame, SparkSession, Window
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.filtering import DEFAULT_RATIO
 from repro.core.types import Explanation
 
 VAL = "__val"
@@ -43,6 +42,11 @@ def _attr_subsets(attrs: Sequence[str], beta_max: int) -> List[Tuple[str, ...]]:
     for r in range(1, min(beta_max, len(attrs)) + 1):
         out.extend(itertools.combinations(attrs, r))
     return out
+
+
+def _q(name: str) -> str:
+    """Backtick-quote a column name so spaces, dashes and dots stay literal."""
+    return "`" + name.replace("`", "``") + "`"
 
 
 def grouping_sets_agg(
@@ -62,32 +66,23 @@ def grouping_sets_agg(
     """
     if agg not in ("sum", "count"):
         raise ValueError(f"unsupported aggregate {agg!r} (decomposable only)")
-    view = f"__repro_gs_{abs(hash((tuple(attrs), measure_expr, agg, time_col))) % 10**8}"
-    df.createOrReplaceTempView(view)
-    prefix = [time_col] if time_col else []
-    sets = ", ".join(
-        "(" + ", ".join(list(prefix) + list(sub)) + ")"
-        for sub in _attr_subsets(attrs, beta_max)
+    prefix = [F.col(_q(time_col))] if time_col else []
+    cols = [F.col(_q(a)) for a in attrs]
+    sets = [
+        prefix + [F.col(_q(a)) for a in sub] for sub in _attr_subsets(attrs, beta_max)
+    ]
+    fn = F.sum if agg == "sum" else F.count
+    out = df.groupingSets(sets, *prefix, *cols).agg(
+        *[F.grouping(c).alias(_gcol(a)) for a, c in zip(attrs, cols)],
+        fn(F.expr(measure_expr)).alias(VAL),
     )
-    select = (
-        ([f"{time_col} AS {TIME}"] if time_col else [])
-        + list(attrs)
-        + [f"grouping({a}) AS {_gcol(a)}" for a in attrs]
-        + [f"{agg}({measure_expr}) AS {VAL}"]
-    )
-    sql = (
-        f"SELECT {', '.join(select)} FROM {view} "
-        f"GROUP BY GROUPING SETS ({sets})"
-    )
-    out = df.sparkSession.sql(sql)
-    df.sparkSession.catalog.dropTempView(view)
-    return out
+    return out.withColumnRenamed(time_col, TIME) if time_col else out
 
 
 def order_col(attrs: Sequence[str]) -> Column:
     """Explanation order of a cube row = number of concrete attributes."""
     return reduce(
-        lambda a, b: a + b, [1 - F.col(_gcol(a)) for a in attrs], F.lit(0)
+        lambda a, b: a + b, [1 - F.col(_q(_gcol(a))) for a in attrs], F.lit(0)
     )
 
 
@@ -104,47 +99,6 @@ def candidate_series(
         df, attrs, measure_expr, agg, beta_max, time_col=time_col
     )
     return cube.withColumn("__order", order_col(attrs)).orderBy(TIME)
-
-
-def filter_support_spark(
-    cand: DataFrame, attrs: Sequence[str], ratio: float = DEFAULT_RATIO
-) -> DataFrame:
-    """Relational support filter (Sec. 7.5.1): keep an explanation iff some
-    point of its series reaches ``ratio`` of the overall series. Overall rows
-    (order 0) are always kept."""
-    gcols = [_gcol(a) for a in attrs]
-    total = (
-        cand.filter(F.col("__order") == 0)
-        .select(F.col(TIME), F.col(VAL).alias("__total"))
-    )
-    slices = cand.filter(F.col("__order") >= 1)
-    ratio_col = F.abs(F.col(VAL)) / F.greatest(
-        F.abs(F.col("__total")), F.lit(1e-300)
-    )
-    keep = (
-        slices.join(total, on=TIME)
-        .groupBy(*attrs, *gcols)
-        .agg(F.max(ratio_col).alias("__maxratio"))
-        .filter((F.col("__maxratio") >= ratio))
-        .drop("__maxratio")
-        .alias("k")
-    )
-    sl = slices.alias("s")
-    cond = reduce(
-        lambda a, b: a & b,
-        [F.col(f"s.{c}").eqNullSafe(F.col(f"k.{c}")) for c in attrs]
-        + [F.col(f"s.{c}") == F.col(f"k.{c}") for c in gcols],
-    )
-    kept = sl.join(keep, on=cond, how="leftsemi")
-    return kept.unionByName(cand.filter(F.col("__order") == 0))
-
-
-def with_object_deltas(cand: DataFrame, attrs: Sequence[str]) -> DataFrame:
-    """Window-function form of the atomic-object deltas: per-explanation
-    ``val - lag(val)`` ordered by time (used by tests and trendline jobs)."""
-    gcols = [_gcol(a) for a in attrs]
-    w = Window.partitionBy(*attrs, *gcols).orderBy(TIME)
-    return cand.withColumn("__delta", F.col(VAL) - F.lag(VAL).over(w))
 
 
 @dataclass
@@ -256,11 +210,10 @@ def series_matrix(
     measure_expr: str,
     agg: str = "sum",
     beta_max: int = 3,
-    filter_ratio: Optional[float] = None,
 ) -> SeriesMatrix:
-    """End-to-end module (a): Spark cube (+ optional relational filter) → matrix."""
+    """End-to-end module (a): Spark cube → matrix."""
     cand = candidate_series(df, time_col, attrs, measure_expr, agg, beta_max)
-    if filter_ratio is not None:
-        cand = filter_support_spark(cand, attrs, filter_ratio)
-    pdf = cand.select(TIME, *attrs, *[_gcol(a) for a in attrs], VAL).toPandas()
+    pdf = cand.select(
+        *[F.col(_q(c)) for c in (TIME, *attrs, *map(_gcol, attrs), VAL)]
+    ).toPandas()
     return to_matrix(pdf, attrs)

@@ -9,7 +9,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import pandas as pd
 
-from repro.core.pipeline import Config, ExplainResult, SegmentResult, explain_series
+from repro.core.pipeline import (
+    SegmentResult,
+    _aligned_matrix,
+    cut_segments,
+    segment_results,
+)
 from repro.core.space import ExplanationSpace
 from repro.core.toplists import compute_toplists
 from repro.core.types import Explanation
@@ -30,22 +35,9 @@ def explain_fixed_cuts(
     n = S.shape[1]
     times = list(times) if times is not None else list(range(n))
     space = ExplanationSpace(labels, attrs)
-    S_al = np.zeros((space.n_nodes, n))
-    for row, e in enumerate(labels):
-        S_al[space.id_of[e]] = S[row]
-    bounds = [0] + sorted(int(c) for c in cuts) + [n - 1]
-    segs = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    tl = compute_toplists(S_al, space, segs, m, use_gv=use_gv)
-    out: List[SegmentResult] = []
-    for s, e in segs:
-        row = tl.row((s, e))
-        expl = [
-            (space.explanations[int(j)].label, int(sg), float(g))
-            for j, g, sg in zip(tl.ids[row], tl.gammas[row], tl.signs[row])
-            if j >= 0
-        ]
-        out.append(SegmentResult(s, e, times[s], times[e], expl))
-    return out
+    segs = cut_segments(cuts, n)
+    tl = compute_toplists(_aligned_matrix(S, labels, space), space, segs, m, use_gv=use_gv)
+    return segment_results(tl, space, segs, times)
 
 
 def run_baseline(

@@ -45,41 +45,44 @@ class TestDiffOracle:
         assert_equivalent(got, sql, rt=test_pdf, rc=ctrl_pdf)
 
     def test_two_attr_vs_duckdb(self, spark):
-        rng_rows = pd.DataFrame(
-            {
-                "a": list("xxyyxz"),
-                "b": [1, 2, 1, 2, 1, 3],
-                "m": [10.0, 5.0, 2.0, 8.0, 1.0, 4.0],
-            }
-        )
-        ctrl = rng_rows.iloc[:3]
-        test = rng_rows.iloc[2:]
-        got = two_relation_diff(
-            spark.createDataFrame(test),
-            spark.createDataFrame(ctrl),
-            ["a", "b"],
-            "m",
-            "sum",
-            beta_max=2,
-        ).drop("__order")
-        ga, gb = _gcol("a"), _gcol("b")
-        sql = f"""
-            WITH t AS (
-                SELECT a, b, GROUPING(a) AS ga, GROUPING(b) AS gb, SUM(m) AS v
-                FROM rt GROUP BY GROUPING SETS ((), (a), (b), (a, b))
-            ), c AS (
-                SELECT a, b, GROUPING(a) AS ga, GROUPING(b) AS gb, SUM(m) AS v
-                FROM rc GROUP BY GROUPING SETS ((), (a), (b), (a, b))
+        for a, b in (("a", "b"), ("my g", "sub-cat")):
+            rng_rows = pd.DataFrame(
+                {
+                    a: list("xxyyxz"),
+                    b: [1, 2, 1, 2, 1, 3],
+                    "m": [10.0, 5.0, 2.0, 8.0, 1.0, 4.0],
+                }
             )
-            SELECT COALESCE(t.a, c.a) AS a, COALESCE(t.b, c.b) AS b,
-                   COALESCE(t.ga, c.ga) AS "{ga}", COALESCE(t.gb, c.gb) AS "{gb}",
-                   ABS(COALESCE(t.v, 0) - COALESCE(c.v, 0)) AS gamma,
-                   CAST(SIGN(COALESCE(t.v, 0) - COALESCE(c.v, 0)) AS INT) AS tau
-            FROM t FULL OUTER JOIN c
-              ON t.ga = c.ga AND t.gb = c.gb
-             AND t.a IS NOT DISTINCT FROM c.a AND t.b IS NOT DISTINCT FROM c.b
-        """
-        assert_equivalent(got, sql, rt=test, rc=ctrl)
+            ctrl = rng_rows.iloc[:3]
+            test = rng_rows.iloc[2:]
+            got = two_relation_diff(
+                spark.createDataFrame(test),
+                spark.createDataFrame(ctrl),
+                [a, b],
+                "m",
+                "sum",
+                beta_max=2,
+            ).drop("__order")
+            ga, gb = _gcol(a), _gcol(b)
+            sql = f"""
+                WITH t AS (
+                    SELECT "{a}" AS a, "{b}" AS b, GROUPING("{a}") AS ga,
+                           GROUPING("{b}") AS gb, SUM(m) AS v
+                    FROM rt GROUP BY GROUPING SETS ((), ("{a}"), ("{b}"), ("{a}", "{b}"))
+                ), c AS (
+                    SELECT "{a}" AS a, "{b}" AS b, GROUPING("{a}") AS ga,
+                           GROUPING("{b}") AS gb, SUM(m) AS v
+                    FROM rc GROUP BY GROUPING SETS ((), ("{a}"), ("{b}"), ("{a}", "{b}"))
+                )
+                SELECT COALESCE(t.a, c.a) AS "{a}", COALESCE(t.b, c.b) AS "{b}",
+                       COALESCE(t.ga, c.ga) AS "{ga}", COALESCE(t.gb, c.gb) AS "{gb}",
+                       ABS(COALESCE(t.v, 0) - COALESCE(c.v, 0)) AS gamma,
+                       CAST(SIGN(COALESCE(t.v, 0) - COALESCE(c.v, 0)) AS INT) AS tau
+                FROM t FULL OUTER JOIN c
+                  ON t.ga = c.ga AND t.gb = c.gb
+                 AND t.a IS NOT DISTINCT FROM c.a AND t.b IS NOT DISTINCT FROM c.b
+            """
+            assert_equivalent(got, sql, rt=test, rc=ctrl)
 
     def test_overall_row_is_total_difference(self, spark, rels):
         test_pdf, ctrl_pdf = rels
@@ -114,10 +117,12 @@ class TestTopM:
         assert [g for e, g, t in out] == pytest.approx(list(per_cat.iloc[:2]))
 
     def test_topm_signs(self, spark):
-        test = pd.DataFrame({"g": ["a", "b"], "m": [10.0, 1.0]})
-        ctrl = pd.DataFrame({"g": ["a", "b"], "m": [1.0, 10.0]})
-        out = topm_for_relations(
-            spark.createDataFrame(test), spark.createDataFrame(ctrl), ["g"], "m", m=2
-        )
-        d = {e.preds[0][1]: t for e, g, t in out}
-        assert d == {"a": 1, "b": -1}
+        for g in ("g", "my g", "sub-cat"):
+            test = spark.createDataFrame(pd.DataFrame({g: ["a", "b"], "m": [10.0, 1.0]}))
+            ctrl = spark.createDataFrame(pd.DataFrame({g: ["a", "b"], "m": [1.0, 12.0]}))
+            rows = two_relation_diff(test, ctrl, [g], "m").toPandas()
+            got = {(r[g], r["__order"]): (r["gamma"], r["tau"]) for _, r in rows.iterrows()}
+            assert got == {("a", 1): (9.0, 1), ("b", 1): (11.0, -1), (None, 0): (2.0, -1)}
+            out = topm_for_relations(test, ctrl, [g], "m", m=2)
+            d = {e.preds: (gamma, t) for e, gamma, t in out}
+            assert d == {((g, "b"),): (11.0, -1), ((g, "a"),): (9.0, 1)}

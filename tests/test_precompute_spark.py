@@ -1,23 +1,23 @@
-"""Spark GROUPING SETS precompute: DuckDB oracle equivalence, pandas-mirror
-parity, relational support filter, window-function deltas."""
+"""Spark GROUPING SETS precompute: DuckDB oracle equivalence and
+pandas-mirror parity, including column names that need quoting."""
 import numpy as np
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.precompute import (
     TIME,
     VAL,
     _gcol,
     candidate_series,
-    filter_support_spark,
     series_matrix,
     series_matrix_pandas,
-    to_matrix,
-    with_object_deltas,
 )
-from repro.core.filtering import support_mask
 from repro.datasets import liquor_like, synthetic
 from repro.oracle import assert_equivalent
+
+# (time, explain-by, explain-by) column names: plain, and ones that break an
+# unquoted SQL string.
+PLAIN = ("date", "BV", "P")
+ODD = ("my t", "my g", "sub-cat")
 
 
 @pytest.fixture(scope="module")
@@ -50,19 +50,22 @@ class TestCubeOracle:
 
     def test_multi_attr_beta2(self, spark):
         lq = liquor_like.generate(n=12, n_combos=40, seed=2)
-        rel = lq.relation()[["date", "BV", "P", "bottles"]].copy()
-        rel["date"] = rel["date"].astype(str)
-        sdf = spark.createDataFrame(rel)
-        got = candidate_series(sdf, "date", ["BV", "P"], "bottles", "sum", beta_max=2)
-        got = got.drop("__order")
-        sql = f"""
-            SELECT date AS "{TIME}", BV, P,
-                   GROUPING(BV) AS "{_gcol('BV')}",
-                   GROUPING(P) AS "{_gcol('P')}",
-                   SUM(bottles) AS "{VAL}"
-            FROM r GROUP BY GROUPING SETS ((date), (date, BV), (date, P), (date, BV, P))
-        """
-        assert_equivalent(got, sql, r=rel)
+        base = lq.relation()[["date", "BV", "P", "bottles"]].copy()
+        base["date"] = base["date"].astype(str)
+        for t, a, b in (PLAIN, ODD):
+            rel = base.set_axis([t, a, b, "bottles"], axis=1)
+            sdf = spark.createDataFrame(rel)
+            got = candidate_series(sdf, t, [a, b], "bottles", "sum", beta_max=2)
+            got = got.drop("__order")
+            sql = f"""
+                SELECT "{t}" AS "{TIME}", "{a}", "{b}",
+                       GROUPING("{a}") AS "{_gcol(a)}",
+                       GROUPING("{b}") AS "{_gcol(b)}",
+                       SUM(bottles) AS "{VAL}"
+                FROM r GROUP BY GROUPING SETS
+                    (("{t}"), ("{t}", "{a}"), ("{t}", "{b}"), ("{t}", "{a}", "{b}"))
+            """
+            assert_equivalent(got, sql, r=rel)
 
     def test_beta_max_limits_order(self, spark):
         lq = liquor_like.generate(n=8, n_combos=30, seed=3)
@@ -103,15 +106,19 @@ class TestMatrixParity:
 
     def test_multiattr_parity(self, spark):
         lq = liquor_like.generate(n=10, n_combos=50, seed=4)
-        rel = lq.relation()
-        sm_s = series_matrix(
-            spark.createDataFrame(rel), "date", list(lq.attrs), "bottles", beta_max=3
-        )
-        sm_p = series_matrix_pandas(rel, "date", list(lq.attrs), "bottles", beta_max=3)
-        assert set(sm_s.labels) == set(sm_p.labels)
-        idx = {e: i for i, e in enumerate(sm_s.labels)}
-        perm = [idx[e] for e in sm_p.labels]
-        np.testing.assert_allclose(sm_s.S[perm], sm_p.S)
+        for names in (PLAIN, ODD):
+            rename = dict(zip(PLAIN, names))
+            rel = lq.relation().rename(columns=rename)
+            attrs = [rename.get(a, a) for a in lq.attrs]
+            sm_s = series_matrix(
+                spark.createDataFrame(rel), names[0], attrs, "bottles", beta_max=3
+            )
+            sm_p = series_matrix_pandas(rel, names[0], attrs, "bottles", beta_max=3)
+            assert set(sm_s.labels) == set(sm_p.labels), names
+            idx = {e: i for i, e in enumerate(sm_s.labels)}
+            perm = [idx[e] for e in sm_p.labels]
+            np.testing.assert_allclose(sm_s.S[perm], sm_p.S)
+            np.testing.assert_allclose(sm_s.total, sm_p.total)
 
     def test_missing_slices_are_zero(self, spark):
         import pandas as pd
@@ -122,49 +129,3 @@ class TestMatrixParity:
 
         row_b = sm.labels.index(Explanation.of(g="b"))
         np.testing.assert_allclose(sm.S[row_b], [0.0, 7.0])
-
-
-class TestFilterSpark:
-    def test_matches_matrix_filter(self, spark):
-        lq = liquor_like.generate(n=10, n_combos=40, seed=6)
-        rel = lq.relation()
-        sdf = spark.createDataFrame(rel)
-        cand = candidate_series(sdf, "date", list(lq.attrs), "bottles")
-        for ratio in (0.001, 0.02, 0.2):
-            sm_all = series_matrix(sdf, "date", list(lq.attrs), "bottles")
-            mask = support_mask(sm_all.S, sm_all.total, ratio)
-            kept_pdf = (
-                filter_support_spark(cand, list(lq.attrs), ratio)
-                .filter("__order >= 1")
-                .toPandas()
-            )
-            sm_kept = to_matrix(
-                __import__("pandas").concat(
-                    [kept_pdf, cand.filter("__order = 0").toPandas()]
-                ),
-                list(lq.attrs),
-            )
-            assert set(sm_kept.labels) == {
-                e for e, k in zip(sm_all.labels, mask) if k
-            }, f"ratio {ratio}"
-
-    def test_keeps_total_rows(self, spark, synth_rel):
-        sdf = spark.createDataFrame(synth_rel)
-        cand = candidate_series(sdf, "T", ["category"], "sales")
-        out = filter_support_spark(cand, ["category"], 0.99)
-        assert out.filter("__order = 0").count() == 30
-        assert out.filter("__order >= 1").count() == 0
-
-
-class TestWindowDeltas:
-    def test_lag_deltas(self, spark, synth_rel):
-        sdf = spark.createDataFrame(synth_rel)
-        cand = candidate_series(sdf, "T", ["category"], "sales")
-        wd = with_object_deltas(cand, ["category"]).filter(
-            (F.col("__order") == 1) & (F.col("category") == "a1")
-        )
-        pdf = wd.orderBy(TIME).toPandas()
-        vals = pdf[VAL].to_numpy()
-        deltas = pdf["__delta"].to_numpy()
-        assert np.isnan(deltas[0])
-        np.testing.assert_allclose(deltas[1:], np.diff(vals))
