@@ -14,19 +14,32 @@ explanations from refinements of ``node``:
                          max over attr d not in node:
                              knapsack over children(node, d) of best(child, .) )
 
+One bottom-up pass stores, next to each ``best(node, q)``, the selection of
+node ids that reaches it, so the root's selection for quota m is the answer.
+
+Tie rule: SUM is additive, so a parent's partitions tie up to float rounding.
+A later option replaces the current one only if it is larger by more than
+``REL_TOL`` relative to ``m * max gamma``. Options are tried in a fixed order:
+take the node, then each attribute's children in ``children`` order; in the
+knapsack the later child gets the smallest quota that reaches the maximum,
+and its selection goes before the accumulated one, which fixes the order of
+equal-gamma explanations after the stable sort by gamma.
+
 We use the "at most m" variant (paper footnote 2); since gamma >= 0 this only
 differs from "exactly m" by zero-score padding.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.space import ExplanationSpace
 
-_ROOT = -1
+REL_TOL = 1e-9  # relative float tolerance of the tie rule and of Eq. 12
+
+Selection = Tuple[int, ...]
 
 
 @dataclass
@@ -47,122 +60,56 @@ class CAResult:
         return self.best[-1]
 
 
-def _combine(child_best: List[List[float]], m: int) -> List[float]:
-    """Quota-knapsack across disjoint children: acc[q] = max split of q."""
-    acc = [0.0] * (m + 1)
-    for cb in child_best:
-        nxt = acc[:]
-        for q in range(1, m + 1):
-            hi = nxt[q]
-            for qc in range(1, q + 1):
-                v = acc[q - qc] + cb[qc]
-                if v > hi:
-                    hi = v
-            nxt[q] = hi
-        acc = nxt
-    return acc
-
-
-def _node_best(
+def _solve(
     space: ExplanationSpace, gamma: np.ndarray, m: int
-) -> Tuple[List[List[float]], List[float]]:
-    """Bottom-up DP: per-node best arrays plus the root array."""
-    n = space.n_nodes
-    best: List[List[float]] = [None] * n  # type: ignore[list-item]
-    for nid in space.topo_desc:
-        take = float(gamma[nid]) if space.takeable[nid] else 0.0
-        arr = [0.0] + [take] * m
-        for kids in space.children[nid].values():
-            comb = _combine([best[k] for k in kids], m)
-            for q in range(1, m + 1):
-                if comb[q] > arr[q]:
-                    arr[q] = comb[q]
-        best[nid] = arr
-    root = [0.0] * (m + 1)
-    for kids in space.root_children.values():
-        comb = _combine([best[k] for k in kids], m)
-        for q in range(1, m + 1):
-            if comb[q] > root[q]:
-                root[q] = comb[q]
-    return best, root
+) -> Tuple[List[float], List[Selection]]:
+    """Bottom-up DP: the root's best array and the selection behind each entry."""
+    tol = REL_TOL * max(1.0, m * float(gamma.max(initial=0.0)))
+    best: List[List[float]] = [None] * space.n_nodes  # type: ignore[list-item]
+    sel: List[List[Selection]] = [None] * space.n_nodes  # type: ignore[list-item]
 
-
-def _backtrack(
-    space: ExplanationSpace,
-    gamma: np.ndarray,
-    m: int,
-    best: List[List[float]],
-    root: List[float],
-) -> List[int]:
-    """Recover one optimal selection by re-deriving argmax choices."""
-    # Scale-relative tolerance: gammas can be ~1e6+, where float64 sums carry
-    # absolute error far above any fixed 1e-9.
-    scale = max(1.0, float(abs(root[m])))
-    eps = 1e-9 * scale
-    out: List[int] = []
-
-    def split(kids: Sequence[int], q: int, target: float) -> Optional[List[Tuple[int, int]]]:
-        """Find a quota split across kids achieving ``target`` (re-runs the
-        knapsack keeping parent pointers; only called on the optimal path)."""
-        accs = [[0.0] * (q + 1)]
+    def combine(kids: Sequence[int]) -> Tuple[List[float], List[Selection]]:
+        """Quota knapsack across disjoint children: acc[q] = best split of q."""
+        acc = [0.0] * (m + 1)
+        acc_sel: List[Selection] = [()] * (m + 1)
         for k in kids:
-            prev = accs[-1]
-            cur = prev[:]
-            for qq in range(1, q + 1):
-                for qc in range(1, qq + 1):
-                    v = prev[qq - qc] + best[k][qc]
-                    if v > cur[qq]:
-                        cur[qq] = v
-            accs.append(cur)
-        if accs[-1][q] + eps < target:
-            return None
-        # Walk back choosing how much quota each kid consumed.
-        alloc: List[Tuple[int, int]] = []
-        qq = q
-        for i in range(len(kids) - 1, -1, -1):
-            prev, cur = accs[i], accs[i + 1]
-            done = False
-            for qc in range(0, qq + 1):
-                cand = prev[qq - qc] + (best[kids[i]][qc] if qc else 0.0)
-                if abs(cand - cur[qq]) <= eps:
-                    if qc:
-                        alloc.append((kids[i], qc))
-                    qq -= qc
-                    done = True
-                    break
-            if not done:  # pragma: no cover - defensive
-                return None
-        return alloc
+            cb, cs = best[k], sel[k]
+            for q in range(m, 0, -1):  # descending, so acc[q - qc] still excludes k
+                hi, pick = acc[q], 0
+                for qc in range(1, q + 1):
+                    v = acc[q - qc] + cb[qc]
+                    if v > hi + tol:
+                        hi, pick = v, qc
+                if pick:
+                    acc[q], acc_sel[q] = hi, cs[pick] + acc_sel[q - pick]
+        return acc, acc_sel
 
-    def visit(nid: int, q: int) -> None:
-        if q == 0:
-            return
-        target = root[q] if nid == _ROOT else best[nid][q]
-        if target <= 0.0:
-            return
-        if nid != _ROOT and space.takeable[nid] and abs(float(gamma[nid]) - target) <= eps:
-            out.append(nid)
-            return
-        kid_map = space.root_children if nid == _ROOT else space.children[nid]
-        for kids in kid_map.values():
-            alloc = split(kids, q, target)
-            if alloc is not None:
-                for k, qc in alloc:
-                    visit(k, qc)
-                return
-        raise AssertionError("backtrack failed to reproduce DP value")  # pragma: no cover
+    def node(
+        take: float, take_sel: Selection, groups: Iterable[Sequence[int]]
+    ) -> Tuple[List[float], List[Selection]]:
+        """Best of taking the node and of drilling into each group of children."""
+        arr = [0.0] + [take] * m
+        arr_sel = [()] + [take_sel] * m
+        for kids in groups:
+            comb, comb_sel = combine(kids)
+            for q in range(1, m + 1):
+                if comb[q] > arr[q] + tol:
+                    arr[q], arr_sel[q] = comb[q], comb_sel[q]
+        return arr, arr_sel
 
-    visit(_ROOT, m)
-    return out
+    gammas, takeable = np.asarray(gamma, dtype=float).tolist(), space.takeable.tolist()
+    for nid in space.topo_desc:
+        g = gammas[nid] if takeable[nid] else 0.0
+        best[nid], sel[nid] = node(g, (nid,) if g > 0.0 else (), space.children[nid].values())
+    return node(0.0, (), space.root_children.values())
 
 
 def topm_nonoverlapping(space: ExplanationSpace, gamma: np.ndarray, m: int) -> CAResult:
     """Exact CA: top-(at most)m non-overlapping explanations maximizing sum gamma."""
     if len(gamma) != space.n_nodes:
         raise ValueError("gamma must have one entry per space node")
-    best, root = _node_best(space, gamma, m)
-    ids = _backtrack(space, gamma, m, best, root)
-    ids.sort(key=lambda i: -float(gamma[i]))
+    root, root_sel = _solve(space, gamma, m)
+    ids = sorted(root_sel[m], key=lambda i: -float(gamma[i]))
     return CAResult(ids=ids, gammas=[float(gamma[i]) for i in ids], best=root)
 
 
@@ -188,7 +135,7 @@ def topm_guess_verify(
         sub, old_of_new = space.restrict(head)
         res = topm_nonoverlapping(sub, gamma[old_of_new], m)
         tail = gamma[chi[m_bar:]]
-        tol = 1e-9 * max(1.0, abs(res.best[m]))
+        tol = REL_TOL * max(1.0, abs(res.best[m]))
         ok = all(
             res.best[m] + tol >= res.best[mp] + float(tail[: m - mp].sum())
             for mp in range(m)

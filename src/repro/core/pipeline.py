@@ -23,7 +23,13 @@ import numpy as np
 
 from repro.core.elbow import kneedle
 from repro.core.filtering import DEFAULT_RATIO, support_mask
-from repro.core.kseg import DPResult, all_segments, build_cost_matrix, dp_segment
+from repro.core.kseg import (
+    DPResult,
+    all_segments,
+    build_cost_matrix,
+    dp_segment,
+    segments_of_cuts,
+)
 from repro.core.segcost import costs_for_segments
 from repro.core.sketch import select_sketch
 from repro.core.space import ExplanationSpace
@@ -46,8 +52,6 @@ class Config:
     use_gv: bool = True
     gv_m_bar0: int = 30
     use_sketch: bool = True
-    sketch_L: Optional[int] = None
-    sketch_size: Optional[int] = None
     smooth_window: Optional[int] = None
     spark_ca_min_segments: int = 2000  # distribute CA when enough segments
 
@@ -99,12 +103,6 @@ def _aligned_matrix(
     for row, e in enumerate(labels):
         out[space.id_of[e]] = S[row]
     return out
-
-
-def cut_segments(cuts: Sequence[int], n: int) -> List[Tuple[int, int]]:
-    """The (start, end) segments that interior ``cuts`` make of range(n)."""
-    bounds = [0] + sorted(int(c) for c in cuts) + [n - 1]
-    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def segment_results(
@@ -172,8 +170,6 @@ def explain_series(
             cfg.m,
             metric=cfg.metric,
             use_gv=cfg.use_gv,
-            L=cfg.sketch_L,
-            size=cfg.sketch_size,
         )
     else:
         positions = list(range(n))
@@ -209,7 +205,7 @@ def explain_series(
         cuts=cuts,
         total_variance=float(dp.totals[K]),
         curve=dp.curve(),
-        segments=segment_results(cen_tl, space, cut_segments(cuts, n), times),
+        segments=segment_results(cen_tl, space, segments_of_cuts(cuts, n), times),
         timings=timings,
         positions=[int(p) for p in positions],
     )

@@ -9,7 +9,7 @@ through while drilling).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,36 +38,28 @@ class ExplanationSpace:
         self,
         labels: Iterable[Explanation | Tuple],
         attrs: Sequence[str],
-        takeable: Optional[Iterable[bool]] = None,
     ) -> None:
         cands = [e if isinstance(e, Explanation) else Explanation(tuple(e)) for e in labels]
-        take_in = list(takeable) if takeable is not None else [True] * len(cands)
-        if len(take_in) != len(cands):
-            raise ValueError("takeable mask length mismatch")
-
         self.attrs: Tuple[str, ...] = tuple(attrs)
         id_of: Dict[Explanation, int] = {}
         explanations: List[Explanation] = []
         take: List[bool] = []
 
-        def add(e: Explanation, t: bool) -> int:
-            nid = id_of.get(e)
-            if nid is None:
-                nid = len(explanations)
-                id_of[e] = nid
+        def add(e: Explanation, t: bool) -> None:
+            # Candidates are added before any closure node, so the first add
+            # of a node fixes whether it is takeable.
+            if e not in id_of:
+                id_of[e] = len(explanations)
                 explanations.append(e)
                 take.append(t)
-            elif t:
-                take[nid] = True
-            return nid
 
-        for e, t in zip(cands, take_in):
+        for e in cands:
             if e.order == 0:
                 raise ValueError("order-0 (root) explanation is not a candidate")
             bad = set(e.attrs) - set(self.attrs)
             if bad:
                 raise ValueError(f"explanation uses unknown attrs {bad}")
-            add(e, t)
+            add(e, True)
         # Prefix closure: every strict sub-conjunction becomes a structural
         # (non-takeable unless independently a candidate) node.
         for e in list(id_of):

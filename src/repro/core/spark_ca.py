@@ -15,7 +15,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.space import ExplanationSpace
-from repro.core.toplists import TopLists, _toplist_row, dcg_weights
+from repro.core.toplists import TopLists, _toplist_row
 
 Segment = Tuple[int, int]
 
@@ -72,7 +72,4 @@ def compute_toplists_spark(
     ids[pos, rr] = rows["id"].to_numpy()
     gammas[pos, rr] = rows["gamma"].to_numpy()
     signs[pos, rr] = rows["sign"].to_numpy()
-    idcg = (gammas * dcg_weights(m)).sum(axis=1)
-    return TopLists(
-        m=m, segments=segs, ids=ids, gammas=gammas, signs=signs, idcg=idcg
-    )
+    return TopLists(m=m, segments=segs, ids=ids, gammas=gammas, signs=signs)

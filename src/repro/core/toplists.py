@@ -31,10 +31,11 @@ class TopLists:
     ids: np.ndarray  # (R, m) int, -1 padded
     gammas: np.ndarray  # (R, m) float
     signs: np.ndarray  # (R, m) int8 (0 on padding)
-    idcg: np.ndarray  # (R,) float
+    idcg: np.ndarray = field(init=False)  # (R,) float, the lists' own DCG
     index: Dict[Segment, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self.idcg = (self.gammas * dcg_weights(self.m)).sum(axis=1)
         if not self.index:
             self.index = {
                 (int(s), int(e)): r for r, (s, e) in enumerate(self.segments)
@@ -65,9 +66,7 @@ def compute_toplists(
     ids = np.stack([r[0] for r in rows]) if rows else np.zeros((0, m), np.int64)
     gammas = np.stack([r[1] for r in rows]) if rows else np.zeros((0, m))
     signs = np.stack([r[2] for r in rows]) if rows else np.zeros((0, m), np.int8)
-    w = dcg_weights(m)
-    idcg = (gammas * w).sum(axis=1)
-    return TopLists(m=m, segments=segs, ids=ids, gammas=gammas, signs=signs, idcg=idcg)
+    return TopLists(m=m, segments=segs, ids=ids, gammas=gammas, signs=signs)
 
 
 def _toplist_row(

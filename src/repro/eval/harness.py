@@ -9,12 +9,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import pandas as pd
 
-from repro.core.pipeline import (
-    SegmentResult,
-    _aligned_matrix,
-    cut_segments,
-    segment_results,
-)
+from repro.core.kseg import segments_of_cuts
+from repro.core.pipeline import SegmentResult, _aligned_matrix, segment_results
 from repro.core.space import ExplanationSpace
 from repro.core.toplists import compute_toplists
 from repro.core.types import Explanation
@@ -35,7 +31,7 @@ def explain_fixed_cuts(
     n = S.shape[1]
     times = list(times) if times is not None else list(range(n))
     space = ExplanationSpace(labels, attrs)
-    segs = cut_segments(cuts, n)
+    segs = segments_of_cuts(cuts, n)
     tl = compute_toplists(_aligned_matrix(S, labels, space), space, segs, m, use_gv=use_gv)
     return segment_results(tl, space, segs, times)
 

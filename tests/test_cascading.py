@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.cascading import topm_guess_verify, topm_nonoverlapping
+from repro.core.cascading import REL_TOL, topm_guess_verify, topm_nonoverlapping
 from repro.core.space import ExplanationSpace
 from repro.core.types import Explanation, pairwise_non_overlapping
 
@@ -51,6 +51,15 @@ def random_instance(seed: int, n_attrs=3, n_vals=2, max_order=2, p_keep=0.7):
     return space, gamma
 
 
+def large_instance(seed: int, **kw):
+    """``random_instance`` with gammas scaled to about 1e9 plus fractional
+    parts, where float sums carry absolute error far above 1e-9."""
+    space, gamma = random_instance(seed, **kw)
+    cand = space.candidate_ids()
+    gamma[cand] = gamma[cand] * 2e7 + np.random.default_rng(seed).random(len(cand))
+    return space, gamma
+
+
 @pytest.mark.parametrize("seed", range(20))
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_ca_matches_brute_force(seed, m):
@@ -75,6 +84,38 @@ def test_ca_selection_is_valid(seed):
     # Best array is monotone in quota and starts at 0.
     assert res.best[0] == 0.0
     assert all(res.best[q] <= res.best[q + 1] + 1e-12 for q in range(m))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ca_matches_brute_force_large_gamma(seed):
+    space, gamma = large_instance(seed)
+    for m in (1, 2, 3):
+        tol = REL_TOL * m * gamma.max()
+        res = topm_nonoverlapping(space, gamma, m)
+        assert abs(res.total - brute_force_best(space, gamma, m)) <= tol
+        assert abs(res.total - sum(gamma[i] for i in res.ids)) <= tol
+        assert pairwise_non_overlapping([space.explanations[i] for i in res.ids])
+
+
+def test_rounding_tie_keeps_earlier_partition():
+    """SUM is additive, so two partitions of one slice tie up to rounding. The
+    three b's sum one rounding step above the two a's; the a's come first and
+    a later option must beat them by more than REL_TOL to replace them."""
+    b_gammas = {1: 0.93, 2: 0.7, 3: 0.24}
+    labels = [Explanation.of(a=1), Explanation.of(a=2)]
+    labels += [Explanation.of(b=v) for v in b_gammas]
+    space = ExplanationSpace(labels, ["a", "b"])
+    g = np.zeros(space.n_nodes)
+    for v, x in b_gammas.items():
+        g[space.id_of[Explanation.of(b=v)]] = x
+    g[space.id_of[Explanation.of(a=1)]] = 0.84
+    g[space.id_of[Explanation.of(a=2)]] = (0.93 + 0.7 + 0.24) - 0.84
+    assert (0.93 + 0.7) + 0.24 > 0.84 + g[space.id_of[Explanation.of(a=2)]]
+    res = topm_nonoverlapping(space, g, 3)
+    assert [space.explanations[i] for i in res.ids] == [
+        Explanation.of(a=2),
+        Explanation.of(a=1),
+    ]
 
 
 def test_single_attribute_is_topm_by_gamma():
@@ -156,6 +197,15 @@ class TestGuessVerify:
         # ids live in the full space
         for i in gv.ids:
             assert 0 <= i < space.n_nodes and space.takeable[i]
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_large_gamma_matches_full_ca(self, seed):
+        space, gamma = large_instance(seed, n_attrs=3, n_vals=3, max_order=3)
+        full = topm_nonoverlapping(space, gamma, 3)
+        for m_bar0 in (2, 4, 30):
+            gv = topm_guess_verify(space, gamma, 3, m_bar0=m_bar0)
+            assert abs(gv.total - full.total) <= REL_TOL * 3 * gamma.max()
+            assert all(space.takeable[i] for i in gv.ids)
 
     def test_large_flat_instance(self):
         """Many near-tied candidates force the verification bound to work."""
