@@ -40,24 +40,18 @@ def run(spark=None, n_datasets=None) -> pd.DataFrame:
     for d in range(n_datasets):
         for snr in synthetic.SNR_LEVELS:
             sd = synthetic.generate(n=100, snr_db=snr, seed=200 + d)
-            smooth = SMOOTH_WINDOW if snr < SMOOTH_BELOW_SNR else None
+            smooth = SMOOTH_WINDOW if snr < SMOOTH_BELOW_SNR else 1
+            S = moving_average(sd.S, smooth)
+            total = moving_average(sd.total[None, :], smooth)[0]
             res = explain_series(
-                sd.S,
+                S,
                 sd.labels,
                 list(sd.attrs),
-                sd.total,
-                Config(
-                    K=sd.gt_k,
-                    use_filter=False,
-                    use_sketch=False,
-                    smooth_window=smooth,
-                ),
+                total,
+                Config(K=sd.gt_k, use_filter=False, use_sketch=False),
             )
             acc[(snr, "TSExplain")].append(
                 distance_percent(res.cuts, sd.gt_cuts, sd.n)
-            )
-            total = (
-                moving_average(sd.total[None, :], smooth)[0] if smooth else sd.total
             )
             for name in BASELINES:
                 cuts, _ = run_baseline(name, total, sd.gt_k)

@@ -36,6 +36,10 @@ from repro.core.space import ExplanationSpace
 from repro.core.toplists import TopLists, compute_toplists, object_segments
 from repro.core.types import Explanation
 
+# With a SparkSession, the centroid CA runs on executors once there are at
+# least this many segments; below it the job overhead outweighs the DPs.
+SPARK_CA_MIN_SEGMENTS = 2000
+
 
 @dataclass
 class Config:
@@ -52,8 +56,6 @@ class Config:
     use_gv: bool = True
     gv_m_bar0: int = 30
     use_sketch: bool = True
-    smooth_window: Optional[int] = None
-    spark_ca_min_segments: int = 2000  # distribute CA when enough segments
 
 
 @dataclass
@@ -143,10 +145,6 @@ def explain_series(
     timings: Dict[str, float] = {}
     t0 = time.perf_counter()
 
-    if cfg.smooth_window:
-        S = moving_average(S, cfg.smooth_window)
-        total = moving_average(total[None, :], cfg.smooth_window)[0]
-
     epsilon = len(labels)
     if cfg.use_filter:
         mask = support_mask(S, total, cfg.filter_ratio)
@@ -170,11 +168,12 @@ def explain_series(
             cfg.m,
             metric=cfg.metric,
             use_gv=cfg.use_gv,
+            m_bar0=cfg.gv_m_bar0,
         )
     else:
         positions = list(range(n))
     segments = all_segments(positions)
-    if spark is not None and len(segments) >= cfg.spark_ca_min_segments:
+    if spark is not None and len(segments) >= SPARK_CA_MIN_SEGMENTS:
         from repro.core.spark_ca import compute_toplists_spark
 
         cen_tl = compute_toplists_spark(

@@ -46,48 +46,46 @@ def _safe_gather(vec: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def _ndcg_pair_vectors(
-    S: np.ndarray,
     Dobj: np.ndarray,
     obj_tl: TopLists,
-    cen_tl: TopLists,
-    row: int,
-) -> Tuple[np.ndarray, np.ndarray, int, int]:
-    """Both NDCG directions between one centroid and every object inside it.
+    d_q: np.ndarray,
+    q_tl: TopLists,
+    q_row: int,
+    s: int,
+    e: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Both NDCG directions between a query q and every object x in [s, e).
 
-    Returns (n_cen, n_obj, s, e): ``n_cen[x-s]`` = NDCG(centroid, E*(o_x)) and
-    ``n_obj[x-s]`` = NDCG(o_x, E*(centroid)) for objects x in [s, e).
+    q has signed delta ``d_q`` and its top list in row ``q_row`` of ``q_tl``.
+    Returns (n_q, n_x): ``n_q[x-s]`` = NDCG(q, E*(o_x)) and ``n_x[x-s]`` =
+    NDCG(o_x, E*(q)).
     """
-    m = cen_tl.m
-    w = dcg_weights(m)
-    s, e = (int(v) for v in cen_tl.segments[row])
-    d_cen = S[:, e] - S[:, s]
+    w = dcg_weights(obj_tl.m)
+    q_ids = q_tl.ids[q_row]  # (m,)
+    q_idcg = float(q_tl.idcg[q_row])
 
-    # Direction 1: query = centroid, docs = each object's own top list.
+    # Direction 1: query = q, docs = each object's own top list.
     obj_ids = obj_tl.ids[s:e]  # (len, m)
-    g = np.abs(_safe_gather(d_cen, obj_ids))
-    sign_on_cen = np.sign(_safe_gather(d_cen, obj_ids))
-    rect = (sign_on_cen == obj_tl.signs[s:e]) & (obj_ids >= 0)
-    dcg_cen = ((g * rect) * w).sum(axis=1)
-    idcg_cen = float(cen_tl.idcg[row])
-    n_cen = (
-        np.ones(e - s) if idcg_cen <= 0.0 else np.clip(dcg_cen / idcg_cen, 0.0, 1.0)
-    )
+    g = np.abs(_safe_gather(d_q, obj_ids))
+    sign_on_q = np.sign(_safe_gather(d_q, obj_ids))
+    rect = (sign_on_q == obj_tl.signs[s:e]) & (obj_ids >= 0)
+    dcg_q = ((g * rect) * w).sum(axis=1)
+    n_q = np.ones(e - s) if q_idcg <= 0.0 else np.clip(dcg_q / q_idcg, 0.0, 1.0)
 
-    # Direction 2: query = each object, docs = the centroid's top list.
-    cen_ids = cen_tl.ids[row]  # (m,)
-    safe = np.where(cen_ids >= 0, cen_ids, 0)
+    # Direction 2: query = each object, docs = q's top list.
+    safe = np.where(q_ids >= 0, q_ids, 0)
     d_at = Dobj[safe][:, s:e]  # (m, len)
-    d_at[cen_ids < 0] = 0.0
+    d_at[q_ids < 0] = 0.0
     g2 = np.abs(d_at)
-    rect2 = (np.sign(d_at) == cen_tl.signs[row][:, None]) & (cen_ids >= 0)[:, None]
-    dcg_obj = w @ (g2 * rect2)
-    idcg_obj = obj_tl.idcg[s:e]
-    n_obj = np.where(
-        idcg_obj > 0.0,
-        np.clip(dcg_obj / np.where(idcg_obj > 0.0, idcg_obj, 1.0), 0.0, 1.0),
+    rect2 = (np.sign(d_at) == q_tl.signs[q_row][:, None]) & (q_ids >= 0)[:, None]
+    dcg_x = w @ (g2 * rect2)
+    idcg_x = obj_tl.idcg[s:e]
+    n_x = np.where(
+        idcg_x > 0.0,
+        np.clip(dcg_x / np.where(idcg_x > 0.0, idcg_x, 1.0), 0.0, 1.0),
         1.0,
     )
-    return n_cen, n_obj, s, e
+    return n_q, n_x
 
 
 def pointwise_costs(
@@ -103,7 +101,10 @@ def pointwise_costs(
     Dobj = object_deltas(S)
     out = {mt: np.zeros(len(cen_tl.segments)) for mt in metrics}
     for row in range(len(cen_tl.segments)):
-        n_cen, n_obj, s, e = _ndcg_pair_vectors(S, Dobj, obj_tl, cen_tl, row)
+        s, e = (int(v) for v in cen_tl.segments[row])
+        n_cen, n_obj = _ndcg_pair_vectors(
+            Dobj, obj_tl, S[:, e] - S[:, s], cen_tl, row, s, e
+        )
         base = {
             "tse": 1.0 - (n_cen + n_obj) / 2.0,
             "dist1": 1.0 - n_cen,
@@ -121,32 +122,9 @@ def object_pair_dist(
     """(n-1) x (n-1) matrix of dist_tse between every pair of atomic objects."""
     Dobj = object_deltas(S)
     n_obj = Dobj.shape[1]
-    m = obj_tl.m
-    w = dcg_weights(m)
     M = np.zeros((n_obj, n_obj))
     for y in range(n_obj):
-        d_y = Dobj[:, y]
-        # NDCG(o_y, E*(o_x)) for all x: query fixed at y, doc lists vary.
-        g = np.abs(_safe_gather(d_y, obj_tl.ids))
-        rect = (np.sign(_safe_gather(d_y, obj_tl.ids)) == obj_tl.signs) & (
-            obj_tl.ids >= 0
-        )
-        dcg_y = ((g * rect) * w).sum(axis=1)
-        idcg_y = float(obj_tl.idcg[y])
-        n_y = np.ones(n_obj) if idcg_y <= 0 else np.clip(dcg_y / idcg_y, 0.0, 1.0)
-        # NDCG(o_x, E*(o_y)) for all x: doc list fixed at y's list.
-        ids_y = obj_tl.ids[y]
-        safe = np.where(ids_y >= 0, ids_y, 0)
-        d_at = Dobj[safe].copy()  # (m, n_obj)
-        d_at[ids_y < 0] = 0.0
-        g2 = np.abs(d_at)
-        rect2 = (np.sign(d_at) == obj_tl.signs[y][:, None]) & (ids_y >= 0)[:, None]
-        dcg_x = w @ (g2 * rect2)
-        n_x = np.where(
-            obj_tl.idcg > 0.0,
-            np.clip(dcg_x / np.where(obj_tl.idcg > 0.0, obj_tl.idcg, 1.0), 0.0, 1.0),
-            1.0,
-        )
+        n_y, n_x = _ndcg_pair_vectors(Dobj, obj_tl, Dobj[:, y], obj_tl, y, 0, n_obj)
         M[y] = 1.0 - (n_y + n_x) / 2.0
     M = (M + M.T) / 2.0  # dist is symmetric (Eq. 6); average out float noise
     return M * M if squared else M

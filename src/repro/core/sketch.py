@@ -33,6 +33,7 @@ def select_sketch(
     m: int,
     metric: str = "tse",
     use_gv: bool = True,
+    m_bar0: int = 30,
     L: Optional[int] = None,
     size: Optional[int] = None,
 ) -> List[int]:
@@ -46,7 +47,7 @@ def select_sketch(
 
     positions = list(range(n))
     segs = all_segments(positions, max_len=L)
-    cen_tl = compute_toplists(S, space, segs, m, use_gv=use_gv)
+    cen_tl = compute_toplists(S, space, segs, m, use_gv, m_bar0)
     costs = costs_for_segments(S, obj_tl, cen_tl, [metric])[metric]
     C = build_cost_matrix(positions, segs, costs)
     res = dp_segment(C, positions, k_max=size)

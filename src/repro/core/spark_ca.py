@@ -1,10 +1,13 @@
 """Distributed Cascading Analysts over segments (the DP-UDF stage).
 
 The CA stage is the paper's bottleneck: one DP per segment, O(n^2) segments,
-embarrassingly parallel. We put the segments into a DataFrame and run the DP
-inside ``mapInPandas`` with the eps x n series matrix and the explanation
-space shipped to executors via a Spark broadcast — the "custom
-dynamic-programming UDF over grouped time series" of the reproduction brief.
+embarrassingly parallel. We put the segments into a DataFrame and run
+:func:`repro.core.toplists.compute_toplists` on each ``mapInPandas`` batch,
+with the eps x n series matrix and the explanation space shipped to executors
+via a Spark broadcast — the "custom dynamic-programming UDF over grouped time
+series" of the reproduction brief. Each batch returns its padded top lists as
+one long ``row, rank, id, gamma, sign`` frame; the driver sorts it back into
+(R, m) arrays.
 """
 from __future__ import annotations
 
@@ -15,11 +18,11 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.space import ExplanationSpace
-from repro.core.toplists import TopLists, _toplist_row
+from repro.core.toplists import TopLists, compute_toplists
 
 Segment = Tuple[int, int]
 
-_SCHEMA = "s long, e long, rank int, id long, gamma double, sign int"
+_SCHEMA = "row long, rank int, id long, gamma double, sign byte"
 
 
 def compute_toplists_spark(
@@ -40,36 +43,31 @@ def compute_toplists_spark(
     def run(batches):
         S_, space_, m_, gv_, mb_ = bc.value
         for pdf in batches:
-            out = []
-            for s, e in zip(pdf["s"], pdf["e"]):
-                ids, gammas, signs = _toplist_row(
-                    S_, space_, (int(s), int(e)), m_, gv_, mb_
-                )
-                for r in range(m_):
-                    out.append(
-                        (int(s), int(e), r, int(ids[r]), float(gammas[r]), int(signs[r]))
-                    )
+            segs_ = pdf[["s", "e"]].to_numpy()
+            tl = compute_toplists(S_, space_, segs_, m_, gv_, mb_)
             yield pd.DataFrame(
-                out, columns=["s", "e", "rank", "id", "gamma", "sign"]
+                {
+                    "row": np.repeat(pdf["row"].to_numpy(), m_),
+                    "rank": np.tile(np.arange(m_, dtype=np.int32), len(segs_)),
+                    "id": tl.ids.ravel(),
+                    "gamma": tl.gammas.ravel(),
+                    "sign": tl.signs.ravel(),
+                }
             )
 
     n_part = min(max(1, len(segs) // 64), sc.defaultParallelism * 4)
     sdf = spark.createDataFrame(
-        pd.DataFrame(segs, columns=["s", "e"]), schema="s long, e long"
+        pd.DataFrame({"row": np.arange(len(segs)), "s": segs[:, 0], "e": segs[:, 1]}),
+        schema="row long, s long, e long",
     ).repartition(n_part)
-    rows = sdf.mapInPandas(run, schema=_SCHEMA).toPandas()
+    out = sdf.mapInPandas(run, schema=_SCHEMA).toPandas()
     bc.unpersist()
-
-    R = len(segs)
-    ids = np.full((R, m), -1, dtype=np.int64)
-    gammas = np.zeros((R, m))
-    signs = np.zeros((R, m), dtype=np.int8)
-    index = {(int(s), int(e)): r for r, (s, e) in enumerate(segs)}
-    rr = rows["rank"].to_numpy()
-    pos = np.asarray(
-        [index[(int(s), int(e))] for s, e in zip(rows["s"], rows["e"])]
+    out = out.sort_values(["row", "rank"])
+    shape = (len(segs), m)
+    return TopLists(
+        m=m,
+        segments=segs,
+        ids=out["id"].to_numpy(np.int64).reshape(shape),
+        gammas=out["gamma"].to_numpy(np.float64).reshape(shape),
+        signs=out["sign"].to_numpy(np.int8).reshape(shape),
     )
-    ids[pos, rr] = rows["id"].to_numpy()
-    gammas[pos, rr] = rows["gamma"].to_numpy()
-    signs[pos, rr] = rows["sign"].to_numpy()
-    return TopLists(m=m, segments=segs, ids=ids, gammas=gammas, signs=signs)

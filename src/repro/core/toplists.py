@@ -2,7 +2,9 @@
 
 For every segment (s, e) we run the Cascading Analysts algorithm on the
 gamma vector ``|S[:, e] - S[:, s]|`` and store the ranked ids, gammas, signs
-and the ideal DCG. Lists are padded to length m with id = -1 / gamma = 0.
+and the ideal DCG. Lists are padded to length m with id = -1 / gamma = 0 /
+sign = 0. :func:`compute_toplists` is the one builder of these arrays; the
+Spark path (:mod:`repro.core.spark_ca`) runs it on segment batches.
 """
 from __future__ import annotations
 
@@ -32,14 +34,11 @@ class TopLists:
     gammas: np.ndarray  # (R, m) float
     signs: np.ndarray  # (R, m) int8 (0 on padding)
     idcg: np.ndarray = field(init=False)  # (R,) float, the lists' own DCG
-    index: Dict[Segment, int] = field(default_factory=dict)
+    index: Dict[Segment, int] = field(init=False)  # (s, e) -> row
 
     def __post_init__(self) -> None:
         self.idcg = (self.gammas * dcg_weights(self.m)).sum(axis=1)
-        if not self.index:
-            self.index = {
-                (int(s), int(e)): r for r, (s, e) in enumerate(self.segments)
-            }
+        self.index = {(int(s), int(e)): r for r, (s, e) in enumerate(self.segments)}
 
     def row(self, seg: Segment) -> int:
         return self.index[(int(seg[0]), int(seg[1]))]
@@ -59,41 +58,22 @@ def compute_toplists(
 ) -> TopLists:
     """Run CA (optionally with guess-and-verify) for every segment, locally."""
     segs = np.asarray(list(segments), dtype=np.int64).reshape(-1, 2)
-    rows = [
-        _toplist_row(S, space, (int(s), int(e)), m, use_gv, m_bar0)
-        for s, e in segs
-    ]
-    ids = np.stack([r[0] for r in rows]) if rows else np.zeros((0, m), np.int64)
-    gammas = np.stack([r[1] for r in rows]) if rows else np.zeros((0, m))
-    signs = np.stack([r[2] for r in rows]) if rows else np.zeros((0, m), np.int8)
+    ids = np.full((len(segs), m), -1, dtype=np.int64)
+    gammas = np.zeros((len(segs), m))
+    signs = np.zeros((len(segs), m), dtype=np.int8)
+    for r, (s, e) in enumerate(segs):
+        d = S[:, e] - S[:, s]
+        g = np.abs(d)
+        res = (
+            topm_guess_verify(space, g, m, m_bar0)
+            if use_gv
+            else topm_nonoverlapping(space, g, m)
+        )
+        top = np.asarray(res.ids[:m], dtype=np.int64)
+        ids[r, : len(top)] = top
+        gammas[r, : len(top)] = g[top]
+        signs[r, : len(top)] = np.sign(d[top])
     return TopLists(m=m, segments=segs, ids=ids, gammas=gammas, signs=signs)
-
-
-def _toplist_row(
-    S: np.ndarray,
-    space: ExplanationSpace,
-    seg: Segment,
-    m: int,
-    use_gv: bool,
-    m_bar0: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One segment's padded (ids, gammas, signs)."""
-    s, e = seg
-    d = S[:, e] - S[:, s]
-    g = np.abs(d)
-    res = (
-        topm_guess_verify(space, g, m, m_bar0)
-        if use_gv
-        else topm_nonoverlapping(space, g, m)
-    )
-    ids = np.full(m, -1, dtype=np.int64)
-    gammas = np.zeros(m)
-    signs = np.zeros(m, dtype=np.int8)
-    for r, nid in enumerate(res.ids[:m]):
-        ids[r] = nid
-        gammas[r] = g[nid]
-        signs[r] = np.sign(d[nid])
-    return ids, gammas, signs
 
 
 def object_segments(n: int) -> List[Segment]:

@@ -110,6 +110,24 @@ class TestResultContract:
         assert res.segments[0].start_t == "d0"
         assert res.segments[-1].end_t == "d59"
 
+    def test_sketch_phase1_uses_gv_m_bar0(self, monkeypatch):
+        """Every guess-and-verify call, sketch phase I included, starts from
+        ``Config.gv_m_bar0``."""
+        from repro.core import toplists
+
+        gv = toplists.topm_guess_verify
+        seen = []
+
+        def spy(space, gamma, m, m_bar0=30):
+            seen.append(m_bar0)
+            return gv(space, gamma, m, m_bar0)
+
+        monkeypatch.setattr(toplists, "topm_guess_verify", spy)
+        S, labels, total = _planted()
+        res = explain_series(S, labels, ["cat"], total, Config(K=2, gv_m_bar0=4))
+        assert len(res.positions) < 60  # the sketch ran
+        assert seen and set(seen) == {4}
+
 
 class TestMovingAverage:
     def test_identity_window(self):

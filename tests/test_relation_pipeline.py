@@ -3,6 +3,7 @@ explanations, on the synthetic and real-like generators."""
 import numpy as np
 import pytest
 
+from repro.core import pipeline
 from repro.core.pipeline import Config, explain_relation, explain_series
 from repro.datasets import covid_like, synthetic
 
@@ -40,15 +41,13 @@ class TestExplainRelation:
         for g in cv.gt_cuts:
             assert min(abs(c - g) for c in res.cuts) <= 4
 
-    def test_spark_ca_dispatch_equivalence(self, spark):
+    def test_spark_ca_dispatch_equivalence(self, spark, monkeypatch):
         """Forcing the distributed CA path yields identical results."""
         sd = synthetic.generate(n=40, snr_db=45, seed=43)
-        cfg_local = Config(K=3, use_sketch=False, spark_ca_min_segments=10**9)
-        cfg_spark = Config(K=3, use_sketch=False, spark_ca_min_segments=1)
-        a = explain_series(sd.S, sd.labels, list(sd.attrs), sd.total, cfg_local)
-        b = explain_series(
-            sd.S, sd.labels, list(sd.attrs), sd.total, cfg_spark, spark=spark
-        )
+        cfg = Config(K=3, use_sketch=False)
+        a = explain_series(sd.S, sd.labels, list(sd.attrs), sd.total, cfg)
+        monkeypatch.setattr(pipeline, "SPARK_CA_MIN_SEGMENTS", 1)
+        b = explain_series(sd.S, sd.labels, list(sd.attrs), sd.total, cfg, spark=spark)
         assert a.cuts == b.cuts
         assert a.total_variance == pytest.approx(b.total_variance)
 

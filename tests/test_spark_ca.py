@@ -47,3 +47,19 @@ def test_segment_row_alignment(spark):
     dist = compute_toplists_spark(spark, S, space, segs, 2)
     for r, seg in enumerate(segs):
         assert dist.row(seg) == r
+
+
+def test_padding_matches_local(spark):
+    """Fewer than m explanations (2 candidates, m=3) and a flat segment with
+    all-zero gamma come back padded and typed exactly as locally."""
+    S = np.array([[5.0, 5.0, 9.0, 1.0], [2.0, 2.0, 0.0, 4.0]])
+    space = ExplanationSpace([Explanation.of(k=i) for i in range(2)], ["k"])
+    segs = [(0, 1), (0, 2), (1, 3), (0, 3)]  # (0, 1) is flat
+    for use_gv in (False, True):
+        local = compute_toplists(S, space, segs, 3, use_gv=use_gv)
+        dist = compute_toplists_spark(spark, S, space, segs, 3, use_gv=use_gv)
+        assert (local.ids == -1).any()
+        for name in ("ids", "gammas", "signs", "idcg"):
+            a, b = getattr(local, name), getattr(dist, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
