@@ -113,6 +113,22 @@ def topm_nonoverlapping(space: ExplanationSpace, gamma: np.ndarray, m: int) -> C
     return CAResult(ids=ids, gammas=[float(gamma[i]) for i in ids], best=root)
 
 
+def _ranked_head(g: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(-g, kind="stable")[:k]`` without sorting all of ``g``.
+
+    A partition finds the k-th value p; only the elements not above p are
+    then sorted stably in index order. ``~(x > p)`` keeps every tie, keeps
+    NaN (which the stable sort puts last, past the k-th place) and keeps
+    everything when p itself is NaN.
+    """
+    x = -g
+    sel = np.arange(len(x))
+    if k < len(x):
+        p = np.partition(x, k - 1)[k - 1]
+        sel = np.flatnonzero(~(x > p))
+    return sel[np.argsort(x[sel], kind="stable")[:k]]
+
+
 def topm_guess_verify(
     space: ExplanationSpace,
     gamma: np.ndarray,
@@ -125,14 +141,19 @@ def topm_guess_verify(
     Eq. 12: Best[m] >= Best[m'] + sum of the (m-m') largest tail gammas, for
     every 0 <= m' < m — any solution mixing m' head and (m-m') tail
     explanations is dominated, so the restricted answer is globally optimal.
+    Only the top m̄+m candidates are ranked (a partial sort, redone when m̄
+    doubles): the head plus the m largest tail gammas that Eq. 12 reads.
+    Ties rank by candidate id, as in a stable sort.
     """
+    if m_bar0 < 1:
+        raise ValueError(f"m_bar0 must be >= 1, got {m_bar0}")
     cand = space.candidate_ids()
-    chi = cand[np.argsort(-gamma[cand], kind="stable")]  # ranked candidate list
-    n_cand = len(chi)
+    g_cand = gamma[cand]
+    n_cand = len(cand)
     m_bar = min(m_bar0, n_cand)
     while True:
-        head = chi[:m_bar]
-        sub, old_of_new = space.restrict(head)
+        chi = cand[_ranked_head(g_cand, m_bar + m)]  # ranked head and tail top
+        sub, old_of_new = space.restrict(chi[:m_bar])
         res = topm_nonoverlapping(sub, gamma[old_of_new], m)
         tail = gamma[chi[m_bar:]]
         tol = REL_TOL * max(1.0, abs(res.best[m]))

@@ -30,7 +30,7 @@ from repro.core.kseg import (
     dp_segment,
     segments_of_cuts,
 )
-from repro.core.segcost import costs_for_segments
+from repro.core.segcost import ALL_METRICS, costs_for_segments
 from repro.core.sketch import select_sketch
 from repro.core.space import ExplanationSpace
 from repro.core.toplists import TopLists, compute_toplists, object_segments
@@ -56,6 +56,16 @@ class Config:
     use_gv: bool = True
     gv_m_bar0: int = 30
     use_sketch: bool = True
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` naming the first field that is out of range."""
+        for name in ("m", "k_max", "gv_m_bar0"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"Config.{name} must be >= 1, got {getattr(self, name)}")
+        if self.metric not in ALL_METRICS:
+            raise ValueError(
+                f"Config.metric must be one of {ALL_METRICS}, got {self.metric!r}"
+            )
 
 
 @dataclass
@@ -140,6 +150,7 @@ def explain_series(
     spark=None,
 ) -> ExplainResult:
     """Run K-Segmentation + evolving explanations over a series matrix."""
+    cfg.validate()
     n = S.shape[1]
     times = list(times) if times is not None else list(range(n))
     timings: Dict[str, float] = {}
@@ -221,6 +232,7 @@ def explain_relation(
     """Full Spark path: Catalyst GROUPING SETS cube → matrix → explain."""
     from repro.core.precompute import series_matrix
 
+    cfg.validate()  # before the cube, which is the costly part
     t0 = time.perf_counter()
     sm = series_matrix(df, time_col, attrs, measure_expr, agg, cfg.beta_max)
     spark_time = time.perf_counter() - t0

@@ -4,8 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.cascading import REL_TOL, topm_guess_verify, topm_nonoverlapping
+from repro.core.cascading import (
+    REL_TOL,
+    _ranked_head,
+    topm_guess_verify,
+    topm_nonoverlapping,
+)
 from repro.core.space import ExplanationSpace
 from repro.core.types import Explanation, pairwise_non_overlapping
 
@@ -222,3 +229,25 @@ class TestGuessVerify:
         gv = topm_guess_verify(space, gamma, 3, m_bar0=10_000)
         full = topm_nonoverlapping(space, gamma, 3)
         assert gv.total == pytest.approx(full.total)
+
+    @pytest.mark.parametrize("m_bar0", [0, -1])
+    def test_m_bar0_below_one_raises(self, m_bar0):
+        """m̄ = 0 never doubles, so the loop would not end."""
+        space, gamma = random_instance(0)
+        with pytest.raises(ValueError, match="m_bar0"):
+            topm_guess_verify(space, gamma, 3, m_bar0=m_bar0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(0, 4).map(float), st.just(float("nan"))), max_size=40
+    )
+)
+def test_ranked_head_equals_stable_argsort_prefix(vals):
+    """The partial ranking guess-and-verify uses is the stable full sort's
+    prefix, with ties, zeros and NaN, for every k from 1 to n + 2."""
+    g = np.asarray(vals, dtype=float)
+    full = np.argsort(-g, kind="stable")
+    for k in range(1, len(g) + 3):
+        np.testing.assert_array_equal(_ranked_head(g, k), full[:k])

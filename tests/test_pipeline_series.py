@@ -129,6 +129,31 @@ class TestResultContract:
         assert seen and set(seen) == {4}
 
 
+class TestConfigValidation:
+    """Out-of-range ``Config`` fields fail at the ``explain_series`` boundary
+    with a ``ValueError`` naming the field."""
+
+    def _explain(self, **kw):
+        S, labels, total = _planted()
+        return explain_series(S, labels, ["cat"], total, Config(K=2, **kw))
+
+    def test_m(self):
+        with pytest.raises(ValueError, match=r"Config\.m must"):
+            self._explain(m=0)
+
+    def test_k_max(self):
+        with pytest.raises(ValueError, match=r"Config\.k_max must"):
+            self._explain(k_max=0)
+
+    def test_gv_m_bar0(self):
+        with pytest.raises(ValueError, match=r"Config\.gv_m_bar0 must"):
+            self._explain(gv_m_bar0=0)
+
+    def test_metric(self):
+        with pytest.raises(ValueError, match=r"Config\.metric must"):
+            self._explain(metric="nope")
+
+
 class TestMovingAverage:
     def test_identity_window(self):
         S = np.random.default_rng(0).random((2, 10))
