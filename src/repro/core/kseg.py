@@ -36,12 +36,15 @@ def build_cost_matrix(
     costs: np.ndarray,
 ) -> np.ndarray:
     """(P, P) matrix C[i, j] = cost of segment (positions[i], positions[j]);
-    +inf where the segment was not evaluated (invalid or over max length)."""
-    idx = {int(p): i for i, p in enumerate(positions)}
-    P = len(idx)
-    C = np.full((P, P), np.inf)
-    for (s, e), c in zip(segments, costs):
-        C[idx[int(s)], idx[int(e)]] = c
+    +inf where the segment was not evaluated (invalid or over max length).
+    ``positions`` is sorted and every segment endpoint is one of them."""
+    pos = np.asarray(positions, dtype=np.int64)
+    segs = np.asarray(list(segments), dtype=np.int64).reshape(-1, 2)
+    ij = np.searchsorted(pos, segs)
+    if not np.array_equal(pos[np.minimum(ij, len(pos) - 1)], segs):
+        raise ValueError("segment endpoint not among the positions")
+    C = np.full((len(pos), len(pos)), np.inf)
+    C[ij[:, 0], ij[:, 1]] = costs
     return C
 
 

@@ -59,7 +59,7 @@ class Config:
 
     def validate(self) -> None:
         """Raise ``ValueError`` naming the first field that is out of range."""
-        for name in ("m", "k_max", "gv_m_bar0"):
+        for name in ("m", "beta_max", "k_max", "gv_m_bar0"):
             if getattr(self, name) < 1:
                 raise ValueError(f"Config.{name} must be >= 1, got {getattr(self, name)}")
         if self.metric not in ALL_METRICS:
@@ -99,11 +99,10 @@ def moving_average(S: np.ndarray, window: int) -> np.ndarray:
     """Centered moving average per row (the paper's smoothing for fuzzy data)."""
     if window <= 1:
         return S
-    kernel = np.ones(window) / window
     pad = window // 2
     padded = np.pad(S, ((0, 0), (pad, pad)), mode="edge")
-    out = np.apply_along_axis(lambda r: np.convolve(r, kernel, "valid"), 1, padded)
-    return out[:, : S.shape[1]]
+    c = np.pad(np.cumsum(padded, axis=1), ((0, 0), (1, 0)))
+    return (c[:, window:] - c[:, :-window])[:, : S.shape[1]] / window
 
 
 def _aligned_matrix(
@@ -152,6 +151,11 @@ def explain_series(
     """Run K-Segmentation + evolving explanations over a series matrix."""
     cfg.validate()
     n = S.shape[1]
+    if n < 2:
+        raise ValueError(f"S needs at least 2 time points to segment, got n = {n}")
+    for name, arr in (("S", S), ("total", total)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} contains NaN or inf")
     times = list(times) if times is not None else list(range(n))
     timings: Dict[str, float] = {}
     t0 = time.perf_counter()
@@ -162,6 +166,10 @@ def explain_series(
         S = S[mask]
         labels = [e for e, k in zip(labels, mask) if k]
     filtered_epsilon = len(labels)
+    if not filtered_epsilon:
+        raise ValueError(
+            f"empty explanation space: {epsilon} labels, none with nonzero support in S"
+        )
     space = ExplanationSpace(labels, attrs)
     S_al = _aligned_matrix(S, labels, space)
     timings["precompute"] = time.perf_counter() - t0

@@ -147,9 +147,16 @@ def to_matrix(pdf: pd.DataFrame, attrs: Sequence[str]) -> SeriesMatrix:
         if not isinstance(pattern, tuple):
             pattern = (pattern,)
         sel = [a for a, g in zip(attrs, pattern) if g == 0]
-        piv = sub.pivot_table(
-            index=sel, columns=TIME, values=VAL, aggfunc="first", fill_value=0.0
-        ).reindex(columns=times, fill_value=0.0)
+        # groupby, not pivot_table: pivot_table drops NULL keys, and with
+        # dropna=False it fills in the cartesian product of the key levels.
+        # A NULL VAL (SUM over only-NULL measures) counts as no row.
+        piv = (
+            sub.dropna(subset=[VAL])
+            .groupby([*sel, TIME], dropna=False)[VAL]
+            .first()
+            .unstack(TIME, fill_value=0.0)
+            .reindex(columns=times, fill_value=0.0)
+        )
         for key in piv.index:
             key_t = key if isinstance(key, tuple) else (key,)
             labels.append(Explanation(tuple(zip(sel, key_t))))
@@ -190,7 +197,7 @@ def series_matrix_pandas(
     for sub_attrs in _attr_subsets(attrs, beta_max):
         if not sub_attrs:
             continue
-        grp = pdf.groupby([time_col, *sub_attrs])[measure_col]
+        grp = pdf.groupby([time_col, *sub_attrs], dropna=False)[measure_col]
         ser = grp.sum() if agg == "sum" else grp.count()
         piv = ser.unstack(level=0).reindex(columns=times).fillna(0.0)
         for key in piv.index:

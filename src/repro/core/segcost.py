@@ -14,12 +14,21 @@ once, for all eight metric variants of Sec. 4.2.2:
   under-specified; we interpret the S-family as using dist^2 in the variance
   (mean squared deviation instead of mean absolute), documented in DESIGN.md.
 
+All metrics share one pair kernel. A pair is (query row q, atomic object x):
+a centroid segment with an object inside it, or, for the allpair matrix, two
+objects. Pairs are enumerated in row-major order ``PAIR_CHUNK`` at a time, and
+both NDCG directions of Eq. 6 are gathered with fancy indexing: q's delta at
+the object's top ids straight from ``S`` (``S[ids, e] - S[ids, s]``), and the
+object's delta at q's top ids from ``object_deltas(S)``. Per-segment sums are
+``np.bincount(row, weights=dist)``. The chunk bounds the ``(chunk, m)``
+temporaries, so memory stays flat however many pairs a call has.
+
 The scalar-reference implementation lives in :mod:`repro.core.ndcg`; tests
 assert equality between the two.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -31,61 +40,50 @@ PAIRWISE_METRICS = ("tse", "dist1", "dist2", "Stse", "Sdist1", "Sdist2")
 ALLPAIR_METRICS = ("allpair", "Sallpair")
 ALL_METRICS = PAIRWISE_METRICS + ALLPAIR_METRICS
 
+# Pairs per gather. Larger chunks buy little speed and grow peak memory.
+PAIR_CHUNK = 8192
+
 
 def object_deltas(S: np.ndarray) -> np.ndarray:
     """eps x (n-1) signed deltas of the atomic objects [p_x, p_{x+1}]."""
     return S[:, 1:] - S[:, :-1]
 
 
-def _safe_gather(vec: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """vec[ids] with -1 padding mapped to 0.0."""
-    safe = np.where(ids >= 0, ids, 0)
-    out = vec[safe]
-    out[ids < 0] = 0.0
-    return out
+def _ndcg(
+    d: np.ndarray, ids: np.ndarray, signs: np.ndarray, idcg: np.ndarray
+) -> np.ndarray:
+    """Eq. 5 per pair: ``d`` is the query's delta at the doc list ``ids``
+    (-1 padded), ``signs`` the list's own effects, ``idcg`` the query's IDCG.
+    IDCG 0 gives 1; foreign lists can beat the CA list, hence the clip."""
+    rel = np.where((np.sign(d) == signs) & (ids >= 0), np.abs(d), 0.0)
+    dcg = (rel * dcg_weights(ids.shape[1])).sum(axis=1)
+    pos = idcg > 0.0
+    return np.where(pos, np.clip(dcg / np.where(pos, idcg, 1.0), 0.0, 1.0), 1.0)
 
 
-def _ndcg_pair_vectors(
-    Dobj: np.ndarray,
-    obj_tl: TopLists,
-    d_q: np.ndarray,
-    q_tl: TopLists,
-    q_row: int,
-    s: int,
-    e: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Both NDCG directions between a query q and every object x in [s, e).
-
-    q has signed delta ``d_q`` and its top list in row ``q_row`` of ``q_tl``.
-    Returns (n_q, n_x): ``n_q[x-s]`` = NDCG(q, E*(o_x)) and ``n_x[x-s]`` =
-    NDCG(o_x, E*(q)).
-    """
-    w = dcg_weights(obj_tl.m)
-    q_ids = q_tl.ids[q_row]  # (m,)
-    q_idcg = float(q_tl.idcg[q_row])
-
-    # Direction 1: query = q, docs = each object's own top list.
-    obj_ids = obj_tl.ids[s:e]  # (len, m)
-    g = np.abs(_safe_gather(d_q, obj_ids))
-    sign_on_q = np.sign(_safe_gather(d_q, obj_ids))
-    rect = (sign_on_q == obj_tl.signs[s:e]) & (obj_ids >= 0)
-    dcg_q = ((g * rect) * w).sum(axis=1)
-    n_q = np.ones(e - s) if q_idcg <= 0.0 else np.clip(dcg_q / q_idcg, 0.0, 1.0)
-
-    # Direction 2: query = each object, docs = q's top list.
-    safe = np.where(q_ids >= 0, q_ids, 0)
-    d_at = Dobj[safe][:, s:e]  # (m, len)
-    d_at[q_ids < 0] = 0.0
-    g2 = np.abs(d_at)
-    rect2 = (np.sign(d_at) == q_tl.signs[q_row][:, None]) & (q_ids >= 0)[:, None]
-    dcg_x = w @ (g2 * rect2)
-    idcg_x = obj_tl.idcg[s:e]
-    n_x = np.where(
-        idcg_x > 0.0,
-        np.clip(dcg_x / np.where(idcg_x > 0.0, idcg_x, 1.0), 0.0, 1.0),
-        1.0,
-    )
-    return n_q, n_x
+def _pair_ndcgs(
+    S: np.ndarray, obj_tl: TopLists, q_tl: TopLists, x_lo: np.ndarray, x_hi: np.ndarray
+) -> Iterator[Tuple[np.ndarray, ...]]:
+    """Both NDCG directions for every pair (row q of ``q_tl``, object x) with
+    ``x_lo[q] <= x < x_hi[q]``, in row-major chunks of ``(q, x, n_q, n_x)``:
+    ``n_q`` = NDCG(q, E*(o_x)) and ``n_x`` = NDCG(o_x, E*(q))."""
+    Dobj = object_deltas(S)
+    starts = np.concatenate(([0], np.cumsum(x_hi - x_lo)))
+    n_pairs = int(starts[-1])
+    for lo in range(0, n_pairs, PAIR_CHUNK):
+        p = np.arange(lo, min(lo + PAIR_CHUNK, n_pairs))
+        q = np.searchsorted(starts, p, side="right") - 1
+        x = x_lo[q] + (p - starts[q])
+        # Direction 1: query q, docs = the object's list.
+        ids, seg = obj_tl.ids[x], q_tl.segments[q]
+        safe = np.maximum(ids, 0)
+        d = S[safe, seg[:, 1:]] - S[safe, seg[:, :1]]
+        n_q = _ndcg(d, ids, obj_tl.signs[x], q_tl.idcg[q])
+        # Direction 2: query = the object, docs = q's list.
+        ids = q_tl.ids[q]
+        d = Dobj[np.maximum(ids, 0), x[:, None]]
+        n_x = _ndcg(d, ids, q_tl.signs[q], obj_tl.idcg[x])
+        yield q, x, n_q, n_x
 
 
 def pointwise_costs(
@@ -98,21 +96,18 @@ def pointwise_costs(
     bad = set(metrics) - set(PAIRWISE_METRICS)
     if bad:
         raise ValueError(f"not pairwise metrics: {bad}")
-    Dobj = object_deltas(S)
-    out = {mt: np.zeros(len(cen_tl.segments)) for mt in metrics}
-    for row in range(len(cen_tl.segments)):
-        s, e = (int(v) for v in cen_tl.segments[row])
-        n_cen, n_obj = _ndcg_pair_vectors(
-            Dobj, obj_tl, S[:, e] - S[:, s], cen_tl, row, s, e
-        )
+    segs = cen_tl.segments
+    out = {mt: np.zeros(len(segs)) for mt in metrics}
+    for q, _, n_cen, n_obj in _pair_ndcgs(S, obj_tl, cen_tl, segs[:, 0], segs[:, 1]):
         base = {
             "tse": 1.0 - (n_cen + n_obj) / 2.0,
             "dist1": 1.0 - n_cen,
             "dist2": 1.0 - n_obj,
         }
         for mt in metrics:
-            d = base[mt.lstrip("S")] if mt.startswith("S") else base[mt]
-            out[mt][row] = float((d * d).sum() if mt.startswith("S") else d.sum())
+            d = base[mt.lstrip("S")]
+            d = d * d if mt.startswith("S") else d
+            out[mt] += np.bincount(q, weights=d, minlength=len(segs))
     return out
 
 
@@ -120,13 +115,11 @@ def object_pair_dist(
     S: np.ndarray, obj_tl: TopLists, squared: bool = False
 ) -> np.ndarray:
     """(n-1) x (n-1) matrix of dist_tse between every pair of atomic objects."""
-    Dobj = object_deltas(S)
-    n_obj = Dobj.shape[1]
+    n_obj = S.shape[1] - 1
     M = np.zeros((n_obj, n_obj))
-    for y in range(n_obj):
-        n_y, n_x = _ndcg_pair_vectors(Dobj, obj_tl, Dobj[:, y], obj_tl, y, 0, n_obj)
-        M[y] = 1.0 - (n_y + n_x) / 2.0
-    M = (M + M.T) / 2.0  # dist is symmetric (Eq. 6); average out float noise
+    lo, hi = np.zeros(n_obj, np.int64), np.full(n_obj, n_obj)
+    for y, x, n_y, n_x in _pair_ndcgs(S, obj_tl, obj_tl, lo, hi):
+        M[y, x] = 1.0 - (n_y + n_x) / 2.0
     return M * M if squared else M
 
 
@@ -141,12 +134,8 @@ def allpair_costs(
     n_obj = pair_dist.shape[0]
     P = np.zeros((n_obj + 1, n_obj + 1))
     P[1:, 1:] = pair_dist.cumsum(axis=0).cumsum(axis=1)
-    out = []
-    for s, e in segments:
-        ln = e - s
-        block = P[e, e] - P[s, e] - P[e, s] + P[s, s]
-        out.append(block / ln)
-    return np.asarray(out)
+    s, e = np.asarray(list(segments), dtype=np.int64).reshape(-1, 2).T
+    return (P[e, e] - P[s, e] - P[e, s] + P[s, s]) / (e - s)
 
 
 def costs_for_segments(
@@ -163,5 +152,5 @@ def costs_for_segments(
     for mt in metrics:
         if mt in ALLPAIR_METRICS:
             M = object_pair_dist(S, obj_tl, squared=mt.startswith("S"))
-            out[mt] = allpair_costs(M, [tuple(seg) for seg in cen_tl.segments])
+            out[mt] = allpair_costs(M, cen_tl.segments)
     return out

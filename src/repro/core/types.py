@@ -8,10 +8,15 @@ some attribute constrained by both carries different values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Tuple
 
 Predicate = Tuple[str, Any]
+
+
+def _null_to_none(v: Any) -> Any:
+    return None if isinstance(v, float) and math.isnan(v) else v
 
 
 @dataclass(frozen=True)
@@ -20,12 +25,16 @@ class Explanation:
 
     Predicates are stored sorted by attribute name so two explanations built
     from the same predicates in different orders compare (and hash) equal.
+    A NULL value, which pandas hands over as ``None`` or NaN, is stored as
+    ``None``: NaN != NaN would make ``A=NULL`` unequal to itself.
     """
 
     preds: Tuple[Predicate, ...]
 
     def __post_init__(self) -> None:
-        preds = tuple(sorted(self.preds, key=lambda p: p[0]))
+        preds = tuple(
+            sorted(((a, _null_to_none(v)) for a, v in self.preds), key=lambda p: p[0])
+        )
         attrs = [a for a, _ in preds]
         if len(set(attrs)) != len(attrs):
             raise ValueError(f"duplicate attribute in explanation: {attrs}")

@@ -153,6 +153,42 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"Config\.metric must"):
             self._explain(metric="nope")
 
+    def test_beta_max(self):
+        with pytest.raises(ValueError, match=r"Config\.beta_max must"):
+            self._explain(beta_max=0)
+
+
+class TestInputValidation:
+    """Inputs ``explain_series`` cannot explain fail at its boundary with a
+    ``ValueError`` naming the input."""
+
+    def test_nan_in_series(self):
+        S, labels, total = _planted()
+        S[1, 7] = np.nan
+        with pytest.raises(ValueError, match=r"^S contains NaN or inf"):
+            explain_series(S, labels, ["cat"], total)
+
+    def test_inf_in_total(self):
+        S, labels, total = _planted()
+        total[3] = np.inf
+        with pytest.raises(ValueError, match=r"^total contains NaN or inf"):
+            explain_series(S, labels, ["cat"], total)
+
+    def test_all_zero_series(self):
+        S, labels, _ = _planted()
+        with pytest.raises(ValueError, match=r"empty explanation space: 3 labels"):
+            explain_series(np.zeros_like(S), labels, ["cat"], np.zeros(S.shape[1]))
+
+    def test_no_labels(self):
+        S, _, total = _planted()
+        with pytest.raises(ValueError, match=r"empty explanation space: 0 labels"):
+            explain_series(S[:0], [], ["cat"], total)
+
+    def test_single_time_point(self):
+        S, labels, total = _planted()
+        with pytest.raises(ValueError, match=r"S needs at least 2 time points"):
+            explain_series(S[:, :1], labels, ["cat"], total[:1])
+
 
 class TestMovingAverage:
     def test_identity_window(self):
@@ -172,3 +208,12 @@ class TestMovingAverage:
         S = rng.normal(0, 1, (1, 500))
         sm = moving_average(S, 7)
         assert sm.std() < S.std() * 0.6
+
+    @pytest.mark.parametrize("window", [2, 3, 4, 7])
+    def test_matches_convolve_reference(self, window):
+        S = np.random.default_rng(window).normal(0, 1, (3, 25))
+        pad = window // 2
+        padded = np.pad(S, ((0, 0), (pad, pad)), mode="edge")
+        kernel = np.ones(window) / window
+        ref = np.array([np.convolve(r, kernel, "valid")[:25] for r in padded])
+        np.testing.assert_allclose(moving_average(S, window), ref, rtol=0, atol=1e-12)

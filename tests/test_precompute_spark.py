@@ -129,3 +129,47 @@ class TestMatrixParity:
 
         row_b = sm.labels.index(Explanation.of(g="b"))
         np.testing.assert_allclose(sm.S[row_b], [0.0, 7.0])
+
+
+class TestNullValues:
+    def test_null_is_an_explanation_on_every_path(self, spark):
+        """NULL attribute values are slices of their own: the Spark cube, the
+        pandas cube and DuckDB give the same series, ``a=NULL`` included."""
+        import duckdb
+        import pandas as pd
+
+        from repro.core.types import Explanation
+
+        rel = pd.DataFrame(
+            {
+                "t": [1, 1, 1, 2, 2, 2, 2],
+                "a": ["x", None, None, "x", None, None, "x"],
+                "b": ["u", "u", None, None, "u", None, "u"],
+                "v": [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0],
+            }
+        )
+        sets = "(t), (t, a), (t, b), (t, a, b)"
+        duck = duckdb.connect()
+        try:
+            duck.register("r", rel)
+            rows = duck.execute(
+                f"SELECT t, a, b, GROUPING(a) AS ga, GROUPING(b) AS gb, SUM(v) AS val"
+                f" FROM r GROUP BY GROUPING SETS ({sets})"
+            ).fetchall()
+        finally:
+            duck.close()
+        expected = {}
+        for t, a, b, ga, gb, val in rows:
+            preds = tuple((k, v) for k, v, g in (("a", a, ga), ("b", b, gb)) if g == 0)
+            if preds:
+                expected.setdefault(Explanation(preds), [0.0, 0.0])[t - 1] = val
+
+        sdf = spark.createDataFrame(rel, "t int, a string, b string, v double")
+        for sm in (
+            series_matrix(sdf, "t", ["a", "b"], "v", beta_max=2),
+            series_matrix_pandas(rel, "t", ["a", "b"], "v", beta_max=2),
+        ):
+            got = {e: list(row) for e, row in zip(sm.labels, sm.S)}
+            assert got == expected
+            np.testing.assert_allclose(sm.total, [3.0, 7.0])
+        assert expected[Explanation.of(a=None)] == [2.0, 4.0]

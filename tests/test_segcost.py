@@ -1,10 +1,15 @@
 """Vectorized cost matrices vs the scalar NDCG reference implementation."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import ndcg
+from repro.core import ndcg, segcost
 from repro.core.segcost import (
     ALL_METRICS,
+    PAIRWISE_METRICS,
     allpair_costs,
     costs_for_segments,
     object_pair_dist,
@@ -103,3 +108,44 @@ def test_pointwise_rejects_allpair():
     S, space, obj_tl, cen_tl, segs = _setup(0, n=6)
     with pytest.raises(ValueError):
         pointwise_costs(S, obj_tl, cen_tl, ["allpair"])
+
+
+@st.composite
+def _pair_cases(draw):
+    """Small spaces with few candidates (m may exceed them: -1 padding) and
+    values from a tiny range, so flat segments (gamma 0, IDCG 0) are common."""
+    eps = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 9))
+    m = draw(st.integers(1, 5))
+    cells = st.sampled_from([0.0, 1.0, 2.0, 5.5])
+    vals = draw(st.lists(cells, min_size=eps * n, max_size=eps * n))
+    S = np.asarray(vals).reshape(eps, n)
+    space = ExplanationSpace([Explanation.of(k=i) for i in range(eps)], ["k"])
+    obj_tl = compute_toplists(S, space, object_segments(n), m, use_gv=False)
+    segs = all_segments(range(n))  # includes every length-1 segment
+    cen_tl = compute_toplists(S, space, segs, m, use_gv=False)
+    return S, obj_tl, cen_tl, segs, draw(st.sampled_from([1, 3, 8192]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pair_cases())
+def test_pair_kernel_matches_scalar_reference(case):
+    """Every pairwise metric and both allpair matrices against ``ndcg``,
+    with the pair chunk cut to 1 and 3 pairs as well as the default."""
+    S, obj_tl, cen_tl, segs, chunk = case
+    with mock.patch.object(segcost, "PAIR_CHUNK", chunk):
+        costs = pointwise_costs(S, obj_tl, cen_tl, PAIRWISE_METRICS)
+        M = object_pair_dist(S, obj_tl)
+        M2 = object_pair_dist(S, obj_tl, squared=True)
+    for mt in PAIRWISE_METRICS:
+        ref = [_scalar_cost(S, obj_tl, cen_tl, seg, mt) for seg in segs]
+        np.testing.assert_allclose(costs[mt], ref, rtol=0, atol=1e-9, err_msg=mt)
+    objs = object_segments(S.shape[1])
+    ref = np.array(
+        [
+            [ndcg.dist_tse(S, oy, obj_tl.top_ids(oy), ox, obj_tl.top_ids(ox)) for ox in objs]
+            for oy in objs
+        ]
+    )
+    np.testing.assert_allclose(M, ref, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(M2, ref * ref, rtol=0, atol=1e-9)
