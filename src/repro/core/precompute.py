@@ -63,6 +63,12 @@ def grouping_sets_agg(
     grouping flags distinguish "attribute not in this grouping set" (1) from a
     genuine NULL value (0 with null), so explanations over NULL-able data stay
     well-defined.
+
+    The input is read through ``coalesce(defaultParallelism)``: one task per
+    core. Coalesce is narrow (no shuffle; an input with fewer partitions is
+    left as it is), and partial aggregation shrinks each task's rows to its
+    group count before the exchange, so a many-partition input no longer pays
+    Spark's per-task cost on every partition.
     """
     if agg not in ("sum", "count"):
         raise ValueError(f"unsupported aggregate {agg!r} (decomposable only)")
@@ -72,6 +78,7 @@ def grouping_sets_agg(
         prefix + [F.col(_q(a)) for a in sub] for sub in _attr_subsets(attrs, beta_max)
     ]
     fn = F.sum if agg == "sum" else F.count
+    df = df.coalesce(df.sparkSession.sparkContext.defaultParallelism)
     out = df.groupingSets(sets, *prefix, *cols).agg(
         *[F.grouping(c).alias(_gcol(a)) for a, c in zip(attrs, cols)],
         fn(F.expr(measure_expr)).alias(VAL),
@@ -124,8 +131,11 @@ def to_matrix(pdf: pd.DataFrame, attrs: Sequence[str]) -> SeriesMatrix:
     """Pivot collected cube rows (pandas) into a SeriesMatrix.
 
     Missing (explanation, t) combinations mean "no rows in that slice at t"
-    and become 0, which is exact for SUM/COUNT.
+    and become 0, which is exact for SUM/COUNT. A NULL VAL (SUM over a slice
+    whose measure is NULL in every row) also becomes 0, so the slice stays a
+    candidate, as in :func:`series_matrix_pandas` and for COUNT.
     """
+    pdf = pdf.fillna({VAL: 0.0})
     gcols = [_gcol(a) for a in attrs]
     times = sorted(pdf[TIME].unique())
     t_index = {t: i for i, t in enumerate(times)}
@@ -149,10 +159,8 @@ def to_matrix(pdf: pd.DataFrame, attrs: Sequence[str]) -> SeriesMatrix:
         sel = [a for a, g in zip(attrs, pattern) if g == 0]
         # groupby, not pivot_table: pivot_table drops NULL keys, and with
         # dropna=False it fills in the cartesian product of the key levels.
-        # A NULL VAL (SUM over only-NULL measures) counts as no row.
         piv = (
-            sub.dropna(subset=[VAL])
-            .groupby([*sel, TIME], dropna=False)[VAL]
+            sub.groupby([*sel, TIME], dropna=False)[VAL]
             .first()
             .unstack(TIME, fill_value=0.0)
             .reindex(columns=times, fill_value=0.0)

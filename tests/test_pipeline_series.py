@@ -1,7 +1,10 @@
 """Matrix-path end-to-end pipeline: recovery of planted segmentations."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.filtering import support_mask
 from repro.core.pipeline import Config, ExplainResult, explain_series, moving_average
 from repro.core.types import Explanation
 from repro.datasets import synthetic
@@ -217,3 +220,59 @@ class TestMovingAverage:
         kernel = np.ones(window) / window
         ref = np.array([np.convolve(r, kernel, "valid")[:25] for r in padded])
         np.testing.assert_allclose(moving_average(S, window), ref, rtol=0, atol=1e-12)
+
+
+# Labels over two attributes: a in {0, 1, 2}, b in {0, 1}, orders 1 and 2.
+_LABELS = (
+    [Explanation.of(a=i) for i in range(3)]
+    + [Explanation.of(b=j) for j in range(2)]
+    + [Explanation.of(a=i, b=j) for i in range(3) for j in range(2)]
+)
+
+
+@st.composite
+def _explain_inputs(draw):
+    n = draw(st.integers(2, 40))
+    rows = draw(st.lists(st.sampled_from(range(len(_LABELS))), min_size=1, unique=True))
+    S = np.array(
+        [draw(st.lists(st.integers(0, 50), min_size=n, max_size=n)) for _ in rows],
+        dtype=float,
+    )
+    cfg = Config(
+        m=draw(st.integers(1, 3)),
+        k_max=draw(st.integers(1, 12)),
+        K=draw(st.none() | st.integers(1, 45)),
+        use_gv=draw(st.booleans()),
+        gv_m_bar0=draw(st.integers(1, 4)),
+        use_sketch=draw(st.booleans()),
+    )
+    return S, [_LABELS[r] for r in rows], cfg
+
+
+class TestResultInvariants:
+    @settings(max_examples=60, deadline=None)
+    @given(_explain_inputs())
+    def test_cuts_segments_and_positions(self, inp):
+        """On any small matrix: sorted interior cuts, segments that tile
+        [0, n-1] and break at the cuts, K <= k_max, and sketch positions in
+        range(n) that keep both endpoints."""
+        S, labels, cfg = inp
+        n = S.shape[1]
+        total = S.sum(axis=0)
+        if not support_mask(S, total, cfg.filter_ratio).any():
+            with pytest.raises(ValueError, match="empty explanation space"):
+                explain_series(S, labels, ["a", "b"], total, cfg)
+            return
+        res = explain_series(S, labels, ["a", "b"], total, cfg)
+
+        assert res.cuts == sorted(set(res.cuts))
+        assert all(1 <= c <= n - 2 for c in res.cuts)
+        assert 1 <= res.K <= cfg.k_max
+        assert len(res.cuts) == res.K - 1
+        bounds = [0, *res.cuts, n - 1]
+        assert [(g.start, g.end) for g in res.segments] == list(zip(bounds, bounds[1:]))
+
+        assert res.positions == sorted(set(res.positions))
+        assert set(res.positions) <= set(range(n))
+        assert res.positions[0] == 0 and res.positions[-1] == n - 1
+        assert set(res.cuts) <= set(res.positions)

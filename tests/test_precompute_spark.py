@@ -131,11 +131,93 @@ class TestMatrixParity:
         np.testing.assert_allclose(sm.S[row_b], [0.0, 7.0])
 
 
+class TestOneTaskPerCore:
+    def test_many_partition_input(self, spark):
+        """A 64-partition input is read through ``Coalesce`` of
+        defaultParallelism, and the cube still equals DuckDB and the pandas
+        cube."""
+        lq = liquor_like.generate(n=10, n_combos=40, seed=5)
+        rel = lq.relation()
+        rel["date"] = rel["date"].astype(str)
+        attrs = list(lq.attrs)[:2]
+        sdf = spark.createDataFrame(rel).repartition(64)
+        assert sdf.rdd.getNumPartitions() == 64
+
+        cand = candidate_series(sdf, "date", attrs, "bottles", beta_max=2)
+        plan = cand._jdf.queryExecution().executedPlan().toString()
+        assert f"Coalesce {spark.sparkContext.defaultParallelism}" in plan, plan
+
+        a, b = attrs
+        sql = f"""
+            SELECT date AS "{TIME}", "{a}", "{b}",
+                   GROUPING("{a}") AS "{_gcol(a)}",
+                   GROUPING("{b}") AS "{_gcol(b)}",
+                   SUM(bottles) AS "{VAL}"
+            FROM r GROUP BY GROUPING SETS
+                ((date), (date, "{a}"), (date, "{b}"), (date, "{a}", "{b}"))
+        """
+        assert_equivalent(cand.drop("__order"), sql, r=rel)
+
+        sm_s = series_matrix(sdf, "date", attrs, "bottles", beta_max=2)
+        sm_p = series_matrix_pandas(rel, "date", attrs, "bottles", beta_max=2)
+        assert set(sm_s.labels) == set(sm_p.labels)
+        idx = {e: i for i, e in enumerate(sm_s.labels)}
+        np.testing.assert_allclose(sm_s.S[[idx[e] for e in sm_p.labels]], sm_p.S)
+        np.testing.assert_allclose(sm_s.total, sm_p.total)
+
+
+def _duckdb_cube(rel, attrs, beta_max):
+    """{label: series} from DuckDB's GROUPING SETS over ``t`` and ``v``, with a
+    NULL sum (a slice whose measure is NULL in every row) read as 0."""
+    import itertools
+
+    import duckdb
+
+    from repro.core.types import Explanation
+
+    times = sorted(rel["t"].unique())
+    subsets = [
+        sub for r in range(1, beta_max + 1) for sub in itertools.combinations(attrs, r)
+    ]
+    sets = ", ".join(f"(t, {', '.join(sub)})" for sub in subsets)
+    duck = duckdb.connect()
+    try:
+        duck.register("r", rel)
+        rows = duck.execute(
+            f"SELECT t, {', '.join(attrs)}, "
+            f"{', '.join(f'GROUPING({a})' for a in attrs)}, SUM(v)"
+            f" FROM r GROUP BY GROUPING SETS ((t), {sets})"
+        ).fetchall()
+    finally:
+        duck.close()
+    k = len(attrs)
+    expected = {}
+    for t, *rest in rows:
+        keys, flags, val = rest[:k], rest[k : 2 * k], rest[2 * k]
+        preds = tuple((a, v) for a, v, g in zip(attrs, keys, flags) if g == 0)
+        if preds:
+            series = expected.setdefault(Explanation(preds), [0.0] * len(times))
+            series[times.index(t)] = 0.0 if val is None else val
+    return expected
+
+
 class TestNullValues:
+    def _check_paths(self, spark, rel, schema, attrs, total):
+        """The Spark cube and the pandas cube both equal DuckDB."""
+        expected = _duckdb_cube(rel, attrs, beta_max=2)
+        sdf = spark.createDataFrame(rel, schema)
+        for sm in (
+            series_matrix(sdf, "t", attrs, "v", beta_max=2),
+            series_matrix_pandas(rel, "t", attrs, "v", beta_max=2),
+        ):
+            got = {e: list(row) for e, row in zip(sm.labels, sm.S)}
+            assert got == expected
+            np.testing.assert_allclose(sm.total, total)
+        return expected
+
     def test_null_is_an_explanation_on_every_path(self, spark):
         """NULL attribute values are slices of their own: the Spark cube, the
         pandas cube and DuckDB give the same series, ``a=NULL`` included."""
-        import duckdb
         import pandas as pd
 
         from repro.core.types import Explanation
@@ -148,28 +230,20 @@ class TestNullValues:
                 "v": [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0],
             }
         )
-        sets = "(t), (t, a), (t, b), (t, a, b)"
-        duck = duckdb.connect()
-        try:
-            duck.register("r", rel)
-            rows = duck.execute(
-                f"SELECT t, a, b, GROUPING(a) AS ga, GROUPING(b) AS gb, SUM(v) AS val"
-                f" FROM r GROUP BY GROUPING SETS ({sets})"
-            ).fetchall()
-        finally:
-            duck.close()
-        expected = {}
-        for t, a, b, ga, gb, val in rows:
-            preds = tuple((k, v) for k, v, g in (("a", a, ga), ("b", b, gb)) if g == 0)
-            if preds:
-                expected.setdefault(Explanation(preds), [0.0, 0.0])[t - 1] = val
-
-        sdf = spark.createDataFrame(rel, "t int, a string, b string, v double")
-        for sm in (
-            series_matrix(sdf, "t", ["a", "b"], "v", beta_max=2),
-            series_matrix_pandas(rel, "t", ["a", "b"], "v", beta_max=2),
-        ):
-            got = {e: list(row) for e, row in zip(sm.labels, sm.S)}
-            assert got == expected
-            np.testing.assert_allclose(sm.total, [3.0, 7.0])
+        expected = self._check_paths(
+            spark, rel, "t int, a string, b string, v double", ["a", "b"], [3.0, 7.0]
+        )
         assert expected[Explanation.of(a=None)] == [2.0, 4.0]
+
+    def test_all_null_measure_slice_is_kept(self, spark):
+        """A slice whose measure is NULL in every row sums to 0 on every path
+        and stays a candidate (Spark's SUM gives NULL there)."""
+        import pandas as pd
+
+        from repro.core.types import Explanation
+
+        rel = pd.DataFrame(
+            {"t": [1, 1, 2, 2], "a": ["x", "y", "x", "y"], "v": [1.0, None, 2.0, None]}
+        )
+        expected = self._check_paths(spark, rel, "t int, a string, v double", ["a"], [1.0, 2.0])
+        assert expected == {Explanation.of(a="x"): [1.0, 2.0], Explanation.of(a="y"): [0.0, 0.0]}

@@ -1,6 +1,8 @@
 """Distributed Cascading Analysts (mapInPandas) vs the local implementation."""
 import numpy as np
 import pytest
+from pyspark.broadcast import Broadcast
+from pyspark.errors import PythonException
 
 from repro.core.space import ExplanationSpace
 from repro.core.spark_ca import compute_toplists_spark
@@ -63,3 +65,35 @@ def test_padding_matches_local(spark):
             a, b = getattr(local, name), getattr(dist, name)
             assert a.dtype == b.dtype, name
             np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize("n_segs", [0, 1])
+def test_fewer_segments_than_partitions(spark, n_segs):
+    """0 or 1 segments over defaultParallelism range partitions: empty
+    partitions yield nothing, and the arrays equal the local ones, dtypes
+    included."""
+    S, space, segs = _instance(seed=3, n=6)
+    segs = segs[3 : 3 + n_segs]
+    local = compute_toplists(S, space, segs, 3)
+    dist = compute_toplists_spark(spark, S, space, segs, 3)
+    for name in ("segments", "ids", "gammas", "signs", "idcg"):
+        a, b = getattr(local, name), getattr(dist, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def test_broadcast_released_on_worker_error(spark, monkeypatch):
+    """An out-of-range segment (e = n) fails on the executor; the error
+    reaches the caller and the broadcast is still unpersisted."""
+    S, space, segs = _instance(seed=4, n=6)
+    released = []
+    unpersist = Broadcast.unpersist
+
+    def spy(self, *args, **kwargs):
+        released.append(self)
+        return unpersist(self, *args, **kwargs)
+
+    monkeypatch.setattr(Broadcast, "unpersist", spy)
+    with pytest.raises(PythonException, match="IndexError"):
+        compute_toplists_spark(spark, S, space, [*segs, (0, S.shape[1])], 3)
+    assert len(released) == 1
