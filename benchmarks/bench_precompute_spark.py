@@ -3,11 +3,13 @@
 lineitem ⋈ part (shuffle join — broadcast disabled in conftest), GROUPING
 SETS cube over (l_returnflag, l_linestatus, p_brand) per month, ordered by
 time: the relational stage TSExplain's module (a) runs on a data-cube-less
-deployment.
+deployment. The two-relation diff (paper Sec. 3.1.1) of the 1997 months
+against the 1996 months runs over the same join.
 """
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.diff import topm_for_relations
 from repro.core.precompute import candidate_series, series_matrix
 from repro.synth_data import lineitem, part
 
@@ -43,3 +45,18 @@ def test_bench_spark_series_matrix(benchmark, spark, joined):
     sm = benchmark.pedantic(run, rounds=2, iterations=1)
     assert sm.epsilon > 30
     assert sm.n == 84  # 7 years of months in TPC-H-lite shipdates
+
+
+def test_bench_spark_two_relation_diff(benchmark, spark, joined):
+    def run():
+        return topm_for_relations(
+            joined.filter(F.col("month").startswith("1997")),
+            joined.filter(F.col("month").startswith("1996")),
+            ATTRS,
+            "revenue",
+            beta_max=3,
+            m=3,
+        )
+
+    top = benchmark.pedantic(run, rounds=2, iterations=1)
+    assert len(top) == 3

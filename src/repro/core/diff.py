@@ -9,12 +9,12 @@ exactly f(sigma_E R_t) - f(sigma_E R_c), so
     gamma(E) = | f(M, sigma_E R_t) - f(M, sigma_E R_c) |
     tau(E)   = sign( f(M, sigma_E R_t) - f(M, sigma_E R_c) )
 
-computed as: cube both relations over the explain-by attributes, full-outer
-join on the (grouping-flag, attribute) key with null-safe equality, diff.
+computed as one aggregation: cube both relations, negate the control cube,
+union the two and sum per (attribute, grouping-flag) key; ``groupBy`` groups
+NULL keys together. The top-m path pivots those rows with ``to_matrix``.
 """
 from __future__ import annotations
 
-from functools import reduce
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -22,9 +22,22 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.cascading import topm_nonoverlapping
-from repro.core.precompute import VAL, _gcol, _q, grouping_sets_agg, order_col
+from repro.core.precompute import TIME, VAL, _gcol, _q, grouping_sets_agg, order_col, to_matrix
 from repro.core.space import ExplanationSpace
 from repro.core.types import Explanation
+
+
+def _signed_cube(test_df, control_df, attrs, measure_expr, agg, beta_max) -> DataFrame:
+    """[attrs..., grouping flags..., VAL] with VAL = f(sigma_E R_t) - f(sigma_E R_c);
+    a missing key or an all-NULL measure counts as 0 on its side."""
+    keys = [F.col(_q(k)) for k in (*attrs, *map(_gcol, attrs))]
+
+    def side(df: DataFrame, sign: int) -> DataFrame:
+        cube = grouping_sets_agg(df, attrs, measure_expr, agg, beta_max)
+        return cube.select(*keys, (F.coalesce(F.col(VAL), F.lit(0.0)) * sign).alias(VAL))
+
+    both = side(test_df, 1).unionByName(side(control_df, -1))
+    return both.groupBy(*keys).agg(F.sum(VAL).alias(VAL))
 
 
 def two_relation_diff(
@@ -35,30 +48,13 @@ def two_relation_diff(
     agg: str = "sum",
     beta_max: int = 3,
 ) -> DataFrame:
-    """DataFrame of [attrs..., grouping flags..., __order, gamma, tau].
+    """DataFrame of [attrs..., grouping flags..., gamma, tau, __order].
 
     Includes the order-0 row (the overall difference f(R_t) - f(R_c)).
     """
-    gcols = [_gcol(a) for a in attrs]
-    t = grouping_sets_agg(test_df, attrs, measure_expr, agg, beta_max).alias("t")
-    c = grouping_sets_agg(control_df, attrs, measure_expr, agg, beta_max).alias("c")
-
-    def tc(side: str, name: str):
-        return F.col(f"{side}.{_q(name)}")
-
-    cond = reduce(
-        lambda a, b: a & b,
-        [tc("t", a).eqNullSafe(tc("c", a)) for a in attrs]
-        + [tc("t", g) == tc("c", g) for g in gcols],
-    )
-    joined = t.join(c, on=cond, how="full_outer")
-    diff = F.coalesce(tc("t", VAL), F.lit(0.0)) - F.coalesce(tc("c", VAL), F.lit(0.0))
-    sel = (
-        [F.coalesce(tc("t", k), tc("c", k)).alias(k) for k in (*attrs, *gcols)]
-        + [F.abs(diff).alias("gamma"), F.signum(diff).cast("int").alias("tau")]
-    )
-    out = joined.select(*sel)
-    return out.withColumn("__order", order_col(attrs))
+    d = _signed_cube(test_df, control_df, attrs, measure_expr, agg, beta_max)
+    gamma, tau = F.abs(VAL), F.signum(VAL).cast("int")
+    return d.withColumns({"gamma": gamma, "tau": tau, "__order": order_col(attrs)}).drop(VAL)
 
 
 def topm_for_relations(
@@ -71,27 +67,18 @@ def topm_for_relations(
     m: int = 3,
 ) -> List[Tuple[Explanation, float, int]]:
     """Top-m non-overlapping explanations of the two-relation difference:
-    the diff DataFrame feeds the Cascading Analysts DP (Def. 3.5)."""
-    gcols = [_gcol(a) for a in attrs]
+    the diff feeds the Cascading Analysts DP (Def. 3.5)."""
     pdf = (
-        two_relation_diff(test_df, control_df, attrs, measure_expr, agg, beta_max)
-        .filter(F.col("__order") >= 1)
+        _signed_cube(test_df, control_df, attrs, measure_expr, agg, beta_max)
+        .withColumn(TIME, F.lit(0))
         .toPandas()
     )
-    labels: List[Explanation] = []
-    for _, row in pdf.iterrows():
-        preds = tuple(
-            (a, row[a]) for a, g in zip(attrs, (row[g] for g in gcols)) if g == 0
-        )
-        labels.append(Explanation(preds))
-    space = ExplanationSpace(labels, attrs)
-    gamma = np.zeros(space.n_nodes)
-    tau = np.zeros(space.n_nodes, dtype=np.int8)
-    for e, g, tv in zip(labels, pdf["gamma"], pdf["tau"]):
-        nid = space.id_of[e]
-        gamma[nid] = float(g)
-        tau[nid] = int(tv)
+    sm = to_matrix(pdf, attrs)
+    space = ExplanationSpace(sm.labels, attrs)
+    # Candidates take ids 0 .. eps-1 in label order; closure nodes keep 0.
+    # S has one column, or none when both relations are empty.
+    diff = np.zeros(space.n_nodes)
+    diff[: sm.epsilon] = sm.S.sum(axis=1)
+    gamma = np.abs(diff)
     res = topm_nonoverlapping(space, gamma, m)
-    return [
-        (space.explanations[i], float(gamma[i]), int(tau[i])) for i in res.ids
-    ]
+    return [(space.explanations[i], float(gamma[i]), int(np.sign(diff[i]))) for i in res.ids]

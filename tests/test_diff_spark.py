@@ -1,4 +1,5 @@
 """Two-relations diff as a DataFrame op: DuckDB oracle + CA integration."""
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -97,6 +98,76 @@ class TestDiffOracle:
         expected = test_pdf["sales"].sum() - ctrl_pdf["sales"].sum()
         assert overall["gamma"] == pytest.approx(abs(expected))
         assert overall["tau"] == (1 if expected > 0 else -1)
+
+    def test_null_keys_vs_duckdb(self, spark):
+        """NULL attribute values are explanations of their own on both sides,
+        and a slice whose measure is NULL in every row counts as 0."""
+        schema = "g string, h bigint, m double"
+        test = pd.DataFrame(
+            {
+                "g": ["a", None, "b", None],
+                "h": pd.array([1, 1, 2, None], dtype="Int64"),
+                "m": pd.array([3.0, 5.0, None, 2.0], dtype="Float64"),
+            }
+        )
+        ctrl = pd.DataFrame(
+            {
+                "g": ["a", None, "c"],
+                "h": pd.array([1, 2, 2], dtype="Int64"),
+                "m": pd.array([1.0, 1.0, 4.0], dtype="Float64"),
+            }
+        )
+        t_sdf = spark.createDataFrame(test, schema)
+        c_sdf = spark.createDataFrame(ctrl, schema)
+        got = two_relation_diff(t_sdf, c_sdf, ["g", "h"], "m", beta_max=2)
+        gg, gh = _gcol("g"), _gcol("h")
+        sql = f"""
+            WITH t AS (
+                SELECT g, h, GROUPING(g) AS gg, GROUPING(h) AS gh, SUM(m) AS v
+                FROM rt GROUP BY GROUPING SETS ((), (g), (h), (g, h))
+            ), c AS (
+                SELECT g, h, GROUPING(g) AS gg, GROUPING(h) AS gh, SUM(m) AS v
+                FROM rc GROUP BY GROUPING SETS ((), (g), (h), (g, h))
+            )
+            SELECT COALESCE(t.g, c.g) AS g, COALESCE(t.h, c.h) AS h,
+                   COALESCE(t.gg, c.gg) AS "{gg}", COALESCE(t.gh, c.gh) AS "{gh}",
+                   ABS(COALESCE(t.v, 0) - COALESCE(c.v, 0)) AS gamma,
+                   CAST(SIGN(COALESCE(t.v, 0) - COALESCE(c.v, 0)) AS INT) AS tau
+            FROM t FULL OUTER JOIN c
+              ON t.gg = c.gg AND t.gh = c.gh
+             AND t.g IS NOT DISTINCT FROM c.g AND t.h IS NOT DISTINCT FROM c.h
+        """
+        assert_equivalent(got.drop("__order"), sql, rt=test, rc=ctrl)
+        b_slice = got.filter(f"g = 'b' AND {gh} = 1").collect()
+        assert [(r["gamma"], r["tau"]) for r in b_slice] == [(0.0, 0)]
+        out = topm_for_relations(t_sdf, c_sdf, ["g", "h"], "m", beta_max=2, m=3)
+        assert out == [
+            (Explanation.of(h=1), 7.0, 1),
+            (Explanation.of(h=2), 5.0, -1),
+            (Explanation.of(h=None), 2.0, 1),
+        ]
+
+    @pytest.mark.parametrize("empty", ["test", "control"])
+    def test_one_side_empty(self, spark, rels, empty):
+        """With no rows on one side the diff is the other side's cube, signed:
+        the order-0 row included, and the top list is that side's top slices."""
+        test_pdf, ctrl_pdf = rels
+        test, ctrl = spark.createDataFrame(test_pdf), spark.createDataFrame(ctrl_pdf)
+        if empty == "test":
+            test, side, sign = test.limit(0), ctrl_pdf, -1
+        else:
+            ctrl, side, sign = ctrl.limit(0), test_pdf, 1
+        d = two_relation_diff(test, ctrl, ["category"], "sales")
+        overall = d.filter("__order = 0").collect()
+        assert len(overall) == 1
+        assert overall[0]["gamma"] == pytest.approx(abs(side["sales"].sum()))
+        assert overall[0]["tau"] == sign * np.sign(side["sales"].sum())
+        out = topm_for_relations(test, ctrl, ["category"], "sales", m=2)
+        per_cat = side.groupby("category")["sales"].sum()
+        top = per_cat.abs().sort_values(ascending=False).index[:2]
+        assert [e.preds[0][1] for e, g, t in out] == list(top)
+        assert [g for e, g, t in out] == pytest.approx(list(per_cat[top].abs()))
+        assert [t for e, g, t in out] == [sign * int(np.sign(per_cat[c])) for c in top]
 
 
 class TestTopM:

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.kseg import (
     all_segments,
@@ -40,6 +42,31 @@ def test_dp_matches_brute_force(seed, K):
     bf_total, bf_cuts = _brute_force(n, K, cost_of)
     assert res.totals[K] == pytest.approx(bf_total)
     assert objective_of_cuts(res.cuts[K], n, cost_of) == pytest.approx(bf_total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dp_matches_brute_force_property(data):
+    """Random costs over a random position subset that keeps both endpoints:
+    for every K the DP reaches the brute-force optimum with cuts among the
+    positions. Segments off the positions cost +inf for the brute force."""
+    n = data.draw(st.integers(2, 9), label="n")
+    keep = data.draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2), label="keep")
+    positions = [0] + [i for i, k in enumerate(keep, 1) if k] + [n - 1]
+    segs = all_segments(positions)
+    costs = data.draw(
+        st.lists(st.floats(0, 10), min_size=len(segs), max_size=len(segs)), label="costs"
+    )
+    k_max = data.draw(st.integers(1, 8), label="k_max")
+    res = dp_segment(build_cost_matrix(positions, segs, np.asarray(costs)), positions, k_max)
+    cost_of = dict.fromkeys(all_segments(range(n)), np.inf)
+    cost_of.update(zip(segs, costs))
+    assert len(res.totals) == min(k_max, len(positions) - 1) + 1
+    for K in range(1, len(res.totals)):
+        bf_total, _ = _brute_force(n, K, cost_of)
+        assert res.totals[K] == pytest.approx(bf_total)
+        assert set(res.cuts[K]) <= set(positions)
+        assert objective_of_cuts(res.cuts[K], n, cost_of) == pytest.approx(bf_total)
 
 
 @pytest.mark.parametrize("seed", range(3))
