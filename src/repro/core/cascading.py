@@ -61,56 +61,62 @@ class CAResult:
 
 
 def _solve(
-    space: ExplanationSpace, gamma: np.ndarray, m: int
+    space: ExplanationSpace, g: List[float], m: int
 ) -> Tuple[List[float], List[Selection]]:
-    """Bottom-up DP: the root's best array and the selection behind each entry."""
-    tol = REL_TOL * max(1.0, m * float(gamma.max(initial=0.0)))
+    """Bottom-up DP over the gamma list ``g``: the root's best array and the
+    selection behind each entry."""
+    tol = REL_TOL * max(1.0, m * max(g, default=0.0))
+    # (q, [(qc, q - qc), ...]) for q = m .. 1: descending, so acc[q - qc]
+    # still excludes the child being folded in.
+    splits = [(q, [(qc, q - qc) for qc in range(1, q + 1)]) for q in range(m, 0, -1)]
+    quotas = range(1, m + 1)
     best: List[List[float]] = [None] * space.n_nodes  # type: ignore[list-item]
     sel: List[List[Selection]] = [None] * space.n_nodes  # type: ignore[list-item]
 
-    def combine(kids: Sequence[int]) -> Tuple[List[float], List[Selection]]:
-        """Quota knapsack across disjoint children: acc[q] = best split of q."""
-        acc = [0.0] * (m + 1)
-        acc_sel: List[Selection] = [()] * (m + 1)
-        for k in kids:
-            cb, cs = best[k], sel[k]
-            for q in range(m, 0, -1):  # descending, so acc[q - qc] still excludes k
-                hi, pick = acc[q], 0
-                for qc in range(1, q + 1):
-                    v = acc[q - qc] + cb[qc]
-                    if v > hi + tol:
-                        hi, pick = v, qc
-                if pick:
-                    acc[q], acc_sel[q] = hi, cs[pick] + acc_sel[q - pick]
-        return acc, acc_sel
-
-    def node(
-        take: float, take_sel: Selection, groups: Iterable[Sequence[int]]
-    ) -> Tuple[List[float], List[Selection]]:
-        """Best of taking the node and of drilling into each group of children."""
-        arr = [0.0] + [take] * m
-        arr_sel = [()] + [take_sel] * m
+    def drill(
+        arr: List[float], arr_sel: List[Selection], groups: Iterable[Sequence[int]]
+    ) -> None:
+        """Fold each group of a node's children into its best array ``arr``
+        (taking the node, on entry), in place: a group is a quota knapsack
+        across its disjoint children, and replaces ``arr[q]`` where larger by
+        more than tol."""
         for kids in groups:
-            comb, comb_sel = combine(kids)
-            for q in range(1, m + 1):
-                if comb[q] > arr[q] + tol:
-                    arr[q], arr_sel[q] = comb[q], comb_sel[q]
-        return arr, arr_sel
+            acc = [0.0] * (m + 1)
+            acc_sel: List[Selection] = [()] * (m + 1)
+            for k in kids:
+                cb, cs = best[k], sel[k]
+                for q, qsplits in splits:
+                    hi, pick = acc[q], 0
+                    for qc, rest in qsplits:
+                        v = acc[rest] + cb[qc]
+                        if v > hi + tol:
+                            hi, pick = v, qc
+                    if pick:
+                        acc[q], acc_sel[q] = hi, cs[pick] + acc_sel[q - pick]
+            for q in quotas:
+                if acc[q] > arr[q] + tol:
+                    arr[q], arr_sel[q] = acc[q], acc_sel[q]
 
-    gammas, takeable = np.asarray(gamma, dtype=float).tolist(), space.takeable.tolist()
+    n_cand, children = space.n_candidates, space.children  # takeable: id < n_cand
     for nid in space.topo_desc:
-        g = gammas[nid] if takeable[nid] else 0.0
-        best[nid], sel[nid] = node(g, (nid,) if g > 0.0 else (), space.children[nid].values())
-    return node(0.0, (), space.root_children.values())
+        t = g[nid] if nid < n_cand else 0.0
+        best[nid] = arr = [0.0] + [t] * m
+        sel[nid] = arr_sel = [()] + [(nid,) if t > 0.0 else ()] * m
+        if children[nid]:
+            drill(arr, arr_sel, children[nid].values())
+    root, root_sel = [0.0] * (m + 1), [()] * (m + 1)
+    drill(root, root_sel, space.root_children.values())
+    return root, root_sel
 
 
 def topm_nonoverlapping(space: ExplanationSpace, gamma: np.ndarray, m: int) -> CAResult:
     """Exact CA: top-(at most)m non-overlapping explanations maximizing sum gamma."""
     if len(gamma) != space.n_nodes:
         raise ValueError("gamma must have one entry per space node")
-    root, root_sel = _solve(space, gamma, m)
-    ids = sorted(root_sel[m], key=lambda i: -float(gamma[i]))
-    return CAResult(ids=ids, gammas=[float(gamma[i]) for i in ids], best=root)
+    g = np.asarray(gamma, dtype=float).tolist()
+    root, root_sel = _solve(space, g, m)
+    ids = sorted(root_sel[m], key=lambda i: -g[i])
+    return CAResult(ids=ids, gammas=[g[i] for i in ids], best=root)
 
 
 def _ranked_head(g: np.ndarray, k: int) -> np.ndarray:
@@ -122,11 +128,11 @@ def _ranked_head(g: np.ndarray, k: int) -> np.ndarray:
     everything when p itself is NaN.
     """
     x = -g
-    sel = np.arange(len(x))
     if k < len(x):
         p = np.partition(x, k - 1)[k - 1]
         sel = np.flatnonzero(~(x > p))
-    return sel[np.argsort(x[sel], kind="stable")[:k]]
+        return sel[np.argsort(x[sel], kind="stable")[:k]]
+    return np.argsort(x, kind="stable")[:k]
 
 
 def topm_guess_verify(
@@ -143,25 +149,26 @@ def topm_guess_verify(
     explanations is dominated, so the restricted answer is globally optimal.
     Only the top m̄+m candidates are ranked (a partial sort, redone when m̄
     doubles): the head plus the m largest tail gammas that Eq. 12 reads.
-    Ties rank by candidate id, as in a stable sort.
+    Ties rank by candidate id, as in a stable sort. Candidates are ids
+    ``0 .. n_candidates-1`` in every space, so the ranking reads the prefix
+    ``gamma[:n_candidates]`` and its positions are node ids.
     """
     if m_bar0 < 1:
         raise ValueError(f"m_bar0 must be >= 1, got {m_bar0}")
-    cand = space.candidate_ids()
-    g_cand = gamma[cand]
-    n_cand = len(cand)
+    n_cand = space.n_candidates
+    g_cand = gamma[:n_cand]
     m_bar = min(m_bar0, n_cand)
     while True:
-        chi = cand[_ranked_head(g_cand, m_bar + m)]  # ranked head and tail top
+        chi = _ranked_head(g_cand, m_bar + m)  # ranked head and tail top
         sub, old_of_new = space.restrict(chi[:m_bar])
         res = topm_nonoverlapping(sub, gamma[old_of_new], m)
+        best = res.best
         tail = gamma[chi[m_bar:]]
-        tol = REL_TOL * max(1.0, abs(res.best[m]))
+        tol = REL_TOL * max(1.0, abs(best[m]))
         ok = all(
-            res.best[m] + tol >= res.best[mp] + float(tail[: m - mp].sum())
-            for mp in range(m)
+            best[m] + tol >= best[mp] + float(tail[: m - mp].sum()) for mp in range(m)
         )
         if ok or m_bar >= n_cand:
-            ids = [int(old_of_new[i]) for i in res.ids]
-            return CAResult(ids=ids, gammas=res.gammas, best=res.best)
+            old = old_of_new.tolist()
+            return CAResult(ids=[old[i] for i in res.ids], gammas=res.gammas, best=best)
         m_bar = min(2 * m_bar, n_cand)

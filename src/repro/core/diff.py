@@ -22,7 +22,16 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.cascading import topm_nonoverlapping
-from repro.core.precompute import TIME, VAL, _gcol, _q, grouping_sets_agg, order_col, to_matrix
+from repro.core.precompute import (
+    TIME,
+    VAL,
+    _gcol,
+    _q,
+    grouping_sets_agg,
+    order_col,
+    to_matrix,
+    to_pandas,
+)
 from repro.core.space import ExplanationSpace
 from repro.core.types import Explanation
 
@@ -68,12 +77,8 @@ def topm_for_relations(
 ) -> List[Tuple[Explanation, float, int]]:
     """Top-m non-overlapping explanations of the two-relation difference:
     the diff feeds the Cascading Analysts DP (Def. 3.5)."""
-    pdf = (
-        _signed_cube(test_df, control_df, attrs, measure_expr, agg, beta_max)
-        .withColumn(TIME, F.lit(0))
-        .toPandas()
-    )
-    sm = to_matrix(pdf, attrs)
+    rows = _signed_cube(test_df, control_df, attrs, measure_expr, agg, beta_max)
+    sm = to_matrix(to_pandas(rows.withColumn(TIME, F.lit(0))), attrs)
     space = ExplanationSpace(sm.labels, attrs)
     # Candidates take ids 0 .. eps-1 in label order; closure nodes keep 0.
     # S has one column, or none when both relations are empty.

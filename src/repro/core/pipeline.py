@@ -148,7 +148,12 @@ def explain_series(
     times: Optional[Sequence] = None,
     spark=None,
 ) -> ExplainResult:
-    """Run K-Segmentation + evolving explanations over a series matrix."""
+    """Run K-Segmentation + evolving explanations over a series matrix.
+
+    ``S`` needs at least 2 time points. With exactly 2 there is one object
+    and one segmentation: K = 1, no cut, and the segment's list is the
+    object's.
+    """
     cfg.validate()
     n = S.shape[1]
     if n < 2:

@@ -25,6 +25,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql.types import IntegralType
 
 from repro.core.types import Explanation
 
@@ -108,6 +109,32 @@ def candidate_series(
     return cube.withColumn("__order", order_col(attrs)).orderBy(TIME)
 
 
+def to_pandas(df: DataFrame) -> pd.DataFrame:
+    """``df.toPandas()`` with integer columns kept integer.
+
+    ``toPandas`` turns an integer column that holds a NULL into float64, and
+    every attribute column of a cube holds NULLs (the grouping sets without
+    that attribute), so its slices would be labelled ``h=1.0``. Such a column
+    comes back as pandas' nullable ``Int64``.
+    """
+    pdf = df.toPandas()
+    for f in df.schema.fields:
+        if isinstance(f.dataType, IntegralType) and pdf[f.name].dtype.kind == "f":
+            pdf[f.name] = pdf[f.name].astype("Int64")
+    return pdf
+
+
+def _labels(attrs: Sequence[str], keys: pd.Index) -> List[Explanation]:
+    """One explanation per pivot row key over ``attrs``; a NULL key (None,
+    NaN or pandas' NA) is the value None."""
+    out = []
+    for key in keys:
+        key_t = key if isinstance(key, tuple) else (key,)
+        preds = ((a, None if pd.isna(v) else v) for a, v in zip(attrs, key_t))
+        out.append(Explanation(tuple(preds)))
+    return out
+
+
 @dataclass
 class SeriesMatrix:
     """Pivoted cube: one row of ``S`` per candidate explanation."""
@@ -130,10 +157,13 @@ class SeriesMatrix:
 def to_matrix(pdf: pd.DataFrame, attrs: Sequence[str]) -> SeriesMatrix:
     """Pivot collected cube rows (pandas) into a SeriesMatrix.
 
+    The time axis is the sorted distinct time values of the rows: a time
+    value with no rows at all is absent from the axis, not a zero column.
     Missing (explanation, t) combinations mean "no rows in that slice at t"
     and become 0, which is exact for SUM/COUNT. A NULL VAL (SUM over a slice
     whose measure is NULL in every row) also becomes 0, so the slice stays a
-    candidate, as in :func:`series_matrix_pandas` and for COUNT.
+    candidate, as in :func:`series_matrix_pandas` and for COUNT. Collect the
+    rows with :func:`to_pandas`, so integer keys label slices as integers.
     """
     pdf = pdf.fillna({VAL: 0.0})
     gcols = [_gcol(a) for a in attrs]
@@ -165,9 +195,7 @@ def to_matrix(pdf: pd.DataFrame, attrs: Sequence[str]) -> SeriesMatrix:
             .unstack(TIME, fill_value=0.0)
             .reindex(columns=times, fill_value=0.0)
         )
-        for key in piv.index:
-            key_t = key if isinstance(key, tuple) else (key,)
-            labels.append(Explanation(tuple(zip(sel, key_t))))
+        labels += _labels(sel, piv.index)
         mats.append(piv.to_numpy(dtype=float))
     S = np.vstack(mats) if mats else np.zeros((0, n))
     return SeriesMatrix(S=S, labels=labels, total=total, times=list(times), attrs=tuple(attrs))
@@ -185,6 +213,8 @@ def series_matrix_pandas(
 
     Semantically identical to :func:`series_matrix` (asserted by tests);
     ``measure_col`` must be a concrete column (pre-compute derived measures).
+    As there, the time axis is the sorted distinct time values: a time value
+    with no rows is absent, not a zero column.
     """
     if agg not in ("sum", "count"):
         raise ValueError(f"unsupported aggregate {agg!r}")
@@ -208,9 +238,7 @@ def series_matrix_pandas(
         grp = pdf.groupby([time_col, *sub_attrs], dropna=False)[measure_col]
         ser = grp.sum() if agg == "sum" else grp.count()
         piv = ser.unstack(level=0).reindex(columns=times).fillna(0.0)
-        for key in piv.index:
-            key_t = key if isinstance(key, tuple) else (key,)
-            labels.append(Explanation(tuple(zip(sub_attrs, key_t))))
+        labels += _labels(sub_attrs, piv.index)
         mats.append(piv.to_numpy(dtype=float))
     S = np.vstack(mats) if mats else np.zeros((0, n))
     return SeriesMatrix(
@@ -228,7 +256,7 @@ def series_matrix(
 ) -> SeriesMatrix:
     """End-to-end module (a): Spark cube → matrix."""
     cand = candidate_series(df, time_col, attrs, measure_expr, agg, beta_max)
-    pdf = cand.select(
-        *[F.col(_q(c)) for c in (TIME, *attrs, *map(_gcol, attrs), VAL)]
-    ).toPandas()
+    pdf = to_pandas(
+        cand.select(*[F.col(_q(c)) for c in (TIME, *attrs, *map(_gcol, attrs), VAL)])
+    )
     return to_matrix(pdf, attrs)

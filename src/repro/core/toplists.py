@@ -56,23 +56,29 @@ def compute_toplists(
     use_gv: bool = True,
     m_bar0: int = 30,
 ) -> TopLists:
-    """Run CA (optionally with guess-and-verify) for every segment, locally."""
+    """Run CA (optionally with guess-and-verify) for every segment, locally.
+
+    ``S`` is read time-major, one copy per call: a segment's delta is the
+    difference of two contiguous rows, not of two strided columns.
+    """
     segs = np.asarray(list(segments), dtype=np.int64).reshape(-1, 2)
     ids = np.full((len(segs), m), -1, dtype=np.int64)
     gammas = np.zeros((len(segs), m))
     signs = np.zeros((len(segs), m), dtype=np.int8)
-    for r, (s, e) in enumerate(segs):
-        d = S[:, e] - S[:, s]
+    rows = np.ascontiguousarray(S.T)
+    for r, (s, e) in enumerate(segs.tolist()):
+        d = rows[e] - rows[s]
         g = np.abs(d)
         res = (
             topm_guess_verify(space, g, m, m_bar0)
             if use_gv
             else topm_nonoverlapping(space, g, m)
         )
-        top = np.asarray(res.ids[:m], dtype=np.int64)
-        ids[r, : len(top)] = top
-        gammas[r, : len(top)] = g[top]
-        signs[r, : len(top)] = np.sign(d[top])
+        top = res.ids[:m]
+        k = len(top)
+        ids[r, :k] = top
+        gammas[r, :k] = res.gammas[:m]
+        signs[r, :k] = np.sign(d[top])
     return TopLists(m=m, segments=segs, ids=ids, gammas=gammas, signs=signs)
 
 

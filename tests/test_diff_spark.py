@@ -147,6 +147,44 @@ class TestDiffOracle:
             (Explanation.of(h=None), 2.0, 1),
         ]
 
+    def test_integer_keys_label_as_integers(self, spark):
+        """The top list of a diff over an integer attribute labels its slices
+        with integer keys, as DuckDB does: ``h=1``, not ``h=1.0``."""
+        import duckdb
+
+        schema = "g string, h bigint, m double"
+        h_t, h_c = pd.array([1, 2, None], dtype="Int64"), pd.array([1, 2, 2], dtype="Int64")
+        test = pd.DataFrame({"g": ["a", "a", "b"], "h": h_t, "m": [9.0, 1.0, 4.0]})
+        ctrl = pd.DataFrame({"g": ["a", "b", "b"], "h": h_c, "m": [1.0, 3.0, 2.0]})
+        out = topm_for_relations(
+            spark.createDataFrame(test, schema),
+            spark.createDataFrame(ctrl, schema),
+            ["g", "h"],
+            "m",
+            beta_max=2,
+            m=3,
+        )
+        duck = duckdb.connect()
+        try:
+            duck.register("rt", test)
+            duck.register("rc", ctrl)
+            rows = duck.execute(
+                """
+                SELECT g, h, GROUPING(g), GROUPING(h), SUM(v)
+                FROM (SELECT g, h, m AS v FROM rt UNION ALL SELECT g, h, -m FROM rc)
+                GROUP BY GROUPING SETS ((g), (h), (g, h))
+                """
+            ).fetchall()
+        finally:
+            duck.close()
+        want = {}
+        for g, h, gg, gh, v in rows:
+            preds = tuple((a, x) for a, x, flag in (("g", g, gg), ("h", h, gh)) if flag == 0)
+            want[Explanation(preds).label] = (abs(v), int(np.sign(v)))
+        assert [e.label for e, _, _ in out] == ["g=a", "g=b & h=2", "g=b & h=None"]
+        for e, gamma, tau in out:
+            assert want[e.label] == (gamma, tau)
+
     @pytest.mark.parametrize("empty", ["test", "control"])
     def test_one_side_empty(self, spark, rels, empty):
         """With no rows on one side the diff is the other side's cube, signed:

@@ -193,6 +193,41 @@ class TestInputValidation:
             explain_series(S[:, :1], labels, ["cat"], total[:1])
 
 
+class TestSmallInputs:
+    """The smallest inputs ``explain_series`` accepts have a defined result."""
+
+    @pytest.mark.parametrize(
+        "cfg", [Config(), Config(use_filter=False, use_gv=False, use_sketch=False)]
+    )
+    def test_two_time_points_give_one_segment(self, cfg):
+        """n = 2 has one object and one possible segmentation: K = 1, no cut,
+        and the segment's list is the object's CA list."""
+        labels = [Explanation.of(a="x"), Explanation.of(a="y"), Explanation.of(a="z")]
+        S = np.array([[1.0, 5.0], [2.0, 1.0], [3.0, 3.0]])
+        res = explain_series(S, labels, ["a"], S.sum(axis=0), cfg)
+        assert (res.K, res.cuts, res.curve) == (1, [], [0.0])
+        [seg] = res.segments
+        assert (seg.start, seg.end) == (0, 1)
+        assert seg.explanations == [("a=x", 1, 4.0), ("a=y", -1, 1.0)]
+
+    def test_one_candidate(self):
+        """ε = 1: the one candidate explains every segment where it changes,
+        the same under every optimization switch."""
+        S = np.array([[0.0, 1.0, 2.0, 3.0, 10.0, 10.0, 10.0, 10.0]])
+        labels = [Explanation.of(a="x")]
+        results = [
+            explain_series(S, labels, ["a"], S[0] + 1.0, cfg)
+            for cfg in (Config(), Config(use_filter=False, use_gv=False, use_sketch=False))
+        ]
+        for res in results:
+            assert (res.epsilon, res.filtered_epsilon) == (1, 1)
+            assert (res.K, res.cuts) == (2, [4])
+            assert [(s.start, s.end, s.explanations) for s in res.segments] == [
+                (0, 4, [("a=x", 1, 10.0)]),
+                (4, 7, []),
+            ]
+
+
 class TestMovingAverage:
     def test_identity_window(self):
         S = np.random.default_rng(0).random((2, 10))

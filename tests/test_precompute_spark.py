@@ -247,3 +247,51 @@ class TestNullValues:
         )
         expected = self._check_paths(spark, rel, "t int, a string, v double", ["a"], [1.0, 2.0])
         assert expected == {Explanation.of(a="x"): [1.0, 2.0], Explanation.of(a="y"): [0.0, 0.0]}
+
+    def test_integer_keys_label_as_integers(self, spark):
+        """An integer attribute keeps integer keys on both cube paths, its
+        NULL included: labels read ``h=1`` and ``h=None`` as from DuckDB,
+        not ``h=1.0`` (toPandas reads a bigint column holding NULLs, as
+        every cube attribute column does, as float64)."""
+        import pandas as pd
+
+        rel = pd.DataFrame(
+            {
+                "t": [1, 1, 1, 2, 2, 2],
+                "g": ["x", "y", "x", "y", "x", "y"],
+                "h": pd.array([1, 2, None, 1, 2, None], dtype="Int64"),
+                "v": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+            }
+        )
+        schema = "t int, g string, h bigint, v double"
+        expected = self._check_paths(spark, rel, schema, ["g", "h"], [6.0, 15.0])
+        want = sorted(e.label for e in expected)
+        assert "h=1" in want and "h=None" in want and "g=x & h=2" in want
+        sdf = spark.createDataFrame(rel, schema)
+        for sm in (
+            series_matrix(sdf, "t", ["g", "h"], "v", beta_max=2),
+            series_matrix_pandas(rel, "t", ["g", "h"], "v", beta_max=2),
+        ):
+            assert sorted(e.label for e in sm.labels) == want
+            for e in sm.labels:
+                h = e.as_dict().get("h")
+                assert h is None or isinstance(h, (int, np.integer))
+
+
+def test_time_gap_is_absent_from_the_axis(spark):
+    """A time value with no rows is not on the time axis of either cube path
+    (it is not read as a zero column); both paths agree with DuckDB."""
+    import pandas as pd
+
+    rel = pd.DataFrame(
+        {"t": [1, 1, 2, 5, 5], "a": ["x", "y", "x", "x", "y"], "v": [1.0, 2.0, 3.0, 4.0, 5.0]}
+    )
+    expected = _duckdb_cube(rel, ["a"], beta_max=1)
+    sdf = spark.createDataFrame(rel, "t int, a string, v double")
+    for sm in (
+        series_matrix(sdf, "t", ["a"], "v", beta_max=1),
+        series_matrix_pandas(rel, "t", ["a"], "v", beta_max=1),
+    ):
+        assert sm.times == [1, 2, 5]
+        assert {e: list(row) for e, row in zip(sm.labels, sm.S)} == expected
+        np.testing.assert_array_equal(sm.total, [3.0, 3.0, 9.0])
