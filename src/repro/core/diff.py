@@ -78,7 +78,9 @@ def topm_for_relations(
     """Top-m non-overlapping explanations of the two-relation difference:
     the diff feeds the Cascading Analysts DP (Def. 3.5)."""
     rows = _signed_cube(test_df, control_df, attrs, measure_expr, agg, beta_max)
-    sm = to_matrix(to_pandas(rows.withColumn(TIME, F.lit(0))), attrs)
+    pdf = to_pandas(rows)
+    pdf[TIME] = 0  # one time point: the diff
+    sm = to_matrix(pdf, attrs)
     space = ExplanationSpace(sm.labels, attrs)
     # Candidates take ids 0 .. eps-1 in label order; closure nodes keep 0.
     # S has one column, or none when both relations are empty.

@@ -109,10 +109,21 @@ def _aligned_matrix(
     S: np.ndarray, labels: Sequence[Explanation], space: ExplanationSpace
 ) -> np.ndarray:
     """One row of the series matrix per space node; closure-only nodes get a
-    zero row (they are non-takeable, their gamma is never used)."""
+    zero row (they are non-takeable, their gamma is never used).
+
+    The space gives the candidates ids ``0 .. eps-1`` in label order, so the
+    rows are one block copy. A repeated label would be one candidate with
+    two rows, so it raises ``ValueError``.
+    """
+    if space.n_candidates != len(labels):
+        seen = set()
+        for e in labels:
+            e = e if isinstance(e, Explanation) else Explanation(tuple(e))
+            if e in seen:
+                raise ValueError(f"label {e.label} is repeated")
+            seen.add(e)
     out = np.zeros((space.n_nodes, S.shape[1]))
-    for row, e in enumerate(labels):
-        out[space.id_of[e]] = S[row]
+    out[: len(labels)] = S
     return out
 
 

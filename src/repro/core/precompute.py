@@ -12,22 +12,24 @@ set yields the overall aggregated time series ts(R); every other row belongs
 to one candidate explanation's series ts(sigma_E R). The result is pivoted to
 an eps x n matrix for the downstream numpy/DP stages; the support filter runs
 on that matrix (:mod:`repro.core.filtering`). ``series_matrix_pandas`` is the
-pure-pandas mirror used by driver-side jobs and as the cube's test oracle.
+in-memory cube, used by driver-side jobs and as the Spark cube's test oracle;
+it needs only numpy and pandas, and pyspark is imported only by the
+functions that run on Spark.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame
-from pyspark.sql import functions as F
-from pyspark.sql.types import IntegralType
 
 from repro.core.types import Explanation
+
+if TYPE_CHECKING:
+    from pyspark.sql import Column, DataFrame
 
 VAL = "__val"
 TIME = "__t"
@@ -71,6 +73,8 @@ def grouping_sets_agg(
     group count before the exchange, so a many-partition input no longer pays
     Spark's per-task cost on every partition.
     """
+    from pyspark.sql import functions as F
+
     if agg not in ("sum", "count"):
         raise ValueError(f"unsupported aggregate {agg!r} (decomposable only)")
     prefix = [F.col(_q(time_col))] if time_col else []
@@ -89,6 +93,8 @@ def grouping_sets_agg(
 
 def order_col(attrs: Sequence[str]) -> Column:
     """Explanation order of a cube row = number of concrete attributes."""
+    from pyspark.sql import functions as F
+
     return reduce(
         lambda a, b: a + b, [1 - F.col(_q(_gcol(a))) for a in attrs], F.lit(0)
     )
@@ -117,6 +123,8 @@ def to_pandas(df: DataFrame) -> pd.DataFrame:
     that attribute), so its slices would be labelled ``h=1.0``. Such a column
     comes back as pandas' nullable ``Int64``.
     """
+    from pyspark.sql.types import IntegralType
+
     pdf = df.toPandas()
     for f in df.schema.fields:
         if isinstance(f.dataType, IntegralType) and pdf[f.name].dtype.kind == "f":
@@ -124,9 +132,9 @@ def to_pandas(df: DataFrame) -> pd.DataFrame:
     return pdf
 
 
-def _labels(attrs: Sequence[str], keys: pd.Index) -> List[Explanation]:
-    """One explanation per pivot row key over ``attrs``; a NULL key (None,
-    NaN or pandas' NA) is the value None."""
+def _labels(attrs: Sequence[str], keys: Iterable) -> List[Explanation]:
+    """One explanation per row key (a value, or a tuple over ``attrs``); a
+    NULL key (None, NaN or pandas' NA) is the value None."""
     out = []
     for key in keys:
         key_t = key if isinstance(key, tuple) else (key,)
@@ -209,40 +217,55 @@ def series_matrix_pandas(
     agg: str = "sum",
     beta_max: int = 3,
 ) -> SeriesMatrix:
-    """Pure-pandas mirror of the Spark cube, for driver-side jobs/tests.
+    """In-memory cube: the Spark cube's semantics in numpy and pandas.
 
     Semantically identical to :func:`series_matrix` (asserted by tests);
     ``measure_col`` must be a concrete column (pre-compute derived measures).
     As there, the time axis is the sorted distinct time values: a time value
     with no rows is absent, not a zero column.
+
+    The time column and each attribute are factorized once, in sorted order
+    with NULL (None, NaN or NA) as the last code. A grouping set's slices are
+    the distinct code tuples of its attributes, in lexicographic order, so
+    labels come out sorted by value with NULL last; its (slices x n) block is
+    one ``bincount`` over ``slice * n + t``. SUM adds the measure with NULL
+    as 0, COUNT its non-NULL rows, so an all-NULL slice is a zero row.
     """
     if agg not in ("sum", "count"):
         raise ValueError(f"unsupported aggregate {agg!r}")
-    times = sorted(pdf[time_col].unique())
-    t_index = {t: i for i, t in enumerate(times)}
+    t, t_uniq = pd.factorize(pdf[time_col], sort=True)
+    if (t < 0).any():
+        raise ValueError(f"time column {time_col!r} holds NULL")
+    times = t_uniq.tolist()
     n = len(times)
+    val = pdf[measure_col].to_numpy(dtype=float, na_value=np.nan)
+    null = np.isnan(val)
+    w = np.where(null, 0.0, val) if agg == "sum" else (~null).astype(float)
+    total = np.bincount(t, weights=w, minlength=n)
 
-    def agg_series(sub: pd.DataFrame) -> np.ndarray:
-        g = sub.groupby(time_col)[measure_col]
-        ser = g.sum() if agg == "sum" else g.count()
-        out = np.zeros(n)
-        out[[t_index[t] for t in ser.index]] = ser.to_numpy(dtype=float)
-        return out
-
-    total = agg_series(pdf)
+    codes: Dict[str, np.ndarray] = {}
+    values: Dict[str, list] = {}
+    for a in attrs:
+        codes[a], uniq = pd.factorize(pdf[a], sort=True, use_na_sentinel=False)
+        values[a] = uniq.tolist()
     labels: List[Explanation] = []
     mats: List[np.ndarray] = []
-    for sub_attrs in _attr_subsets(attrs, beta_max):
-        if not sub_attrs:
-            continue
-        grp = pdf.groupby([time_col, *sub_attrs], dropna=False)[measure_col]
-        ser = grp.sum() if agg == "sum" else grp.count()
-        piv = ser.unstack(level=0).reindex(columns=times).fillna(0.0)
-        labels += _labels(sub_attrs, piv.index)
-        mats.append(piv.to_numpy(dtype=float))
+    for sub in _attr_subsets(attrs, beta_max)[1:]:
+        # Each row's slice id and each slice's codes, one attribute at a
+        # time; np.unique re-densifies the key after each attribute, so it
+        # stays below (#slices so far) x (#values of the attribute).
+        row, sub_codes = codes[sub[0]], [np.arange(len(values[sub[0]]))]
+        for a in sub[1:]:
+            k = len(values[a])
+            key, row = np.unique(row * k + codes[a], return_inverse=True)
+            sub_codes = [c[key // k] for c in sub_codes] + [key % k]
+        g = len(sub_codes[0])
+        mats.append(np.bincount(row * n + t, weights=w, minlength=g * n).reshape(g, n))
+        cols = [[values[a][c] for c in col.tolist()] for a, col in zip(sub, sub_codes)]
+        labels += _labels(sub, zip(*cols))
     S = np.vstack(mats) if mats else np.zeros((0, n))
     return SeriesMatrix(
-        S=S, labels=labels, total=total, times=list(times), attrs=tuple(attrs)
+        S=S, labels=labels, total=total, times=times, attrs=tuple(attrs)
     )
 
 
@@ -254,9 +277,8 @@ def series_matrix(
     agg: str = "sum",
     beta_max: int = 3,
 ) -> SeriesMatrix:
-    """End-to-end module (a): Spark cube → matrix."""
+    """End-to-end module (a): Spark cube → matrix. ``to_matrix`` reads the
+    columns it needs by name, so the cube is collected as it is: one more
+    projection would cost one more analysis of the cube's plan."""
     cand = candidate_series(df, time_col, attrs, measure_expr, agg, beta_max)
-    pdf = to_pandas(
-        cand.select(*[F.col(_q(c)) for c in (TIME, *attrs, *map(_gcol, attrs), VAL)])
-    )
-    return to_matrix(pdf, attrs)
+    return to_matrix(to_pandas(cand), attrs)

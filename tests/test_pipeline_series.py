@@ -192,6 +192,19 @@ class TestInputValidation:
         with pytest.raises(ValueError, match=r"S needs at least 2 time points"):
             explain_series(S[:, :1], labels, ["cat"], total[:1])
 
+    def test_repeated_label(self):
+        """A repeated label is an error, not one candidate whose series is
+        the last row and that counts twice in epsilon; the attach-to-cuts
+        path of the baselines goes through the same check."""
+        from repro.eval.harness import explain_fixed_cuts
+
+        S, _, total = _planted()
+        labels = [Explanation.of(cat="a"), Explanation.of(cat="b"), Explanation.of(cat="a")]
+        with pytest.raises(ValueError, match=r"^label cat=a is repeated"):
+            explain_series(S, labels, ["cat"], total)
+        with pytest.raises(ValueError, match=r"^label cat=a is repeated"):
+            explain_fixed_cuts(S, labels, ["cat"], [20, 40])
+
 
 class TestSmallInputs:
     """The smallest inputs ``explain_series`` accepts have a defined result."""
