@@ -108,7 +108,15 @@ def candidate_series(
     agg: str = "sum",
     beta_max: int = 3,
 ) -> DataFrame:
-    """Per-explanation + overall aggregated time series, sorted by time."""
+    """Per-explanation + overall aggregated time series, sorted by time.
+
+    The presentation view of the cube: :func:`grouping_sets_agg` plus an
+    ``__order`` column (explanation order) and a global sort by time, for
+    callers that read the rows themselves. :func:`series_matrix` does not go
+    through it: ``to_matrix`` sorts the times and groups the rows itself, so
+    the sort (a range-partitioning exchange) and the extra column (one more
+    analysis of the input's plan) would be spent for nothing there.
+    """
     cube = grouping_sets_agg(
         df, attrs, measure_expr, agg, beta_max, time_col=time_col
     )
@@ -165,7 +173,8 @@ class SeriesMatrix:
 def to_matrix(pdf: pd.DataFrame, attrs: Sequence[str]) -> SeriesMatrix:
     """Pivot collected cube rows (pandas) into a SeriesMatrix.
 
-    The time axis is the sorted distinct time values of the rows: a time
+    The result does not depend on the order of the rows: times, grouping
+    sets and keys are each sorted here (NULL keys last). The time axis is the sorted distinct time values of the rows: a time
     value with no rows at all is absent from the axis, not a zero column.
     Missing (explanation, t) combinations mean "no rows in that slice at t"
     and become 0, which is exact for SUM/COUNT. A NULL VAL (SUM over a slice
@@ -277,8 +286,16 @@ def series_matrix(
     agg: str = "sum",
     beta_max: int = 3,
 ) -> SeriesMatrix:
-    """End-to-end module (a): Spark cube → matrix. ``to_matrix`` reads the
-    columns it needs by name, so the cube is collected as it is: one more
-    projection would cost one more analysis of the cube's plan."""
-    cand = candidate_series(df, time_col, attrs, measure_expr, agg, beta_max)
-    return to_matrix(to_pandas(cand), attrs)
+    """End-to-end module (a): Spark cube → matrix.
+
+    The cube of :func:`grouping_sets_agg` is collected as Spark builds it,
+    in no row order and with no projection: ``to_matrix`` orders the time
+    axis and the labels itself and reads its columns by name, so the sort
+    and ``__order`` column of :func:`candidate_series` are not paid here.
+    A NULL time value is a ``ValueError``, as in :func:`series_matrix_pandas`.
+    """
+    cube = grouping_sets_agg(df, attrs, measure_expr, agg, beta_max, time_col=time_col)
+    pdf = to_pandas(cube)
+    if pdf[TIME].isna().any():
+        raise ValueError(f"time column {time_col!r} holds NULL")
+    return to_matrix(pdf, attrs)

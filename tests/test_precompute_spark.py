@@ -295,3 +295,50 @@ def test_time_gap_is_absent_from_the_axis(spark):
         assert sm.times == [1, 2, 5]
         assert {e: list(row) for e, row in zip(sm.labels, sm.S)} == expected
         np.testing.assert_array_equal(sm.total, [3.0, 3.0, 9.0])
+
+
+class TestCollectedAsBuilt:
+    def test_series_matrix_collects_the_cube_unsorted(self, spark, synth_rel, monkeypatch):
+        """``series_matrix`` collects the cube with no sort and no range
+        exchange (``to_matrix`` orders the axis itself); the presentation
+        view ``candidate_series`` keeps its sort by time."""
+        from repro.core import precompute
+
+        collected = []
+        collect = precompute.to_pandas
+
+        def capture(df):
+            collected.append(df)
+            return collect(df)
+
+        monkeypatch.setattr(precompute, "to_pandas", capture)
+        sdf = spark.createDataFrame(synth_rel)
+        series_matrix(sdf, "T", ["category"], "sales")
+        (cube,) = collected
+        plan = cube._jdf.queryExecution().executedPlan().toString()
+        assert "Sort" not in plan and "rangepartitioning" not in plan, plan
+
+        view = candidate_series(sdf, "T", ["category"], "sales")
+        plan = view._jdf.queryExecution().executedPlan().toString()
+        assert "Sort" in plan and "rangepartitioning" in plan, plan
+
+
+@pytest.mark.parametrize(
+    "kind, schema",
+    [("str", "t string, a string, v double"), ("int", "t int, a string, v double")],
+)
+@pytest.mark.parametrize("path", ["spark", "pandas"])
+def test_null_time_is_an_error(request, path, kind, schema):
+    """A NULL time value has no place on the time axis: both cube paths
+    raise the same ``ValueError``, for a string and an integer time column."""
+    import pandas as pd
+
+    t = ["2020-01", None, "2020-02"] if kind == "str" else [1, None, 2]
+    a, v = ["x", "y", "x"], [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError, match="time column 't' holds NULL"):
+        if path == "spark":
+            sdf = request.getfixturevalue("spark").createDataFrame(list(zip(t, a, v)), schema)
+            series_matrix(sdf, "t", ["a"], "v")
+        else:
+            col = pd.array(t, dtype="Int64" if kind == "int" else object)
+            series_matrix_pandas(pd.DataFrame({"t": col, "a": a, "v": v}), "t", ["a"], "v")
