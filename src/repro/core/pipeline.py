@@ -163,16 +163,23 @@ def explain_series(
 
     ``S`` needs at least 2 time points. With exactly 2 there is one object
     and one segmentation: K = 1, no cut, and the segment's list is the
-    object's.
+    object's. ``labels`` needs one entry per row of ``S``, and ``total``
+    and ``times`` one per column; a mismatch is a ``ValueError``.
     """
     cfg.validate()
     n = S.shape[1]
     if n < 2:
         raise ValueError(f"S needs at least 2 time points to segment, got n = {n}")
+    times = list(times) if times is not None else list(range(n))
+    if len(labels) != len(S):
+        raise ValueError(f"{len(labels)} labels for the {len(S)} rows of S")
+    if np.shape(total) != (n,):
+        raise ValueError(f"total has shape {np.shape(total)}, S has {n} time points")
+    if len(times) != n:
+        raise ValueError(f"times has {len(times)} values, S has {n} time points")
     for name, arr in (("S", S), ("total", total)):
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} contains NaN or inf")
-    times = list(times) if times is not None else list(range(n))
     timings: Dict[str, float] = {}
     t0 = time.perf_counter()
 

@@ -12,8 +12,10 @@ set yields the overall aggregated time series ts(R); every other row belongs
 to one candidate explanation's series ts(sigma_E R). The result is pivoted to
 an eps x n matrix for the downstream numpy/DP stages; the support filter runs
 on that matrix (:mod:`repro.core.filtering`). ``series_matrix_pandas`` is the
-in-memory cube, used by driver-side jobs and as the Spark cube's test oracle;
-it needs only numpy and pandas, and pyspark is imported only by the
+in-memory cube, used by driver-side jobs and as the Spark cube's test oracle.
+Both cubes pivot through one binning kernel, :func:`_bin`, so they return
+the same labels in the same order, and so the same candidate ids. The
+in-memory path needs only numpy and pandas; pyspark is imported only by the
 functions that run on Spark.
 """
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
@@ -113,7 +115,7 @@ def candidate_series(
     The presentation view of the cube: :func:`grouping_sets_agg` plus an
     ``__order`` column (explanation order) and a global sort by time, for
     callers that read the rows themselves. :func:`series_matrix` does not go
-    through it: ``to_matrix`` sorts the times and groups the rows itself, so
+    through it: ``to_matrix`` orders the time axis and the labels itself, so
     the sort (a range-partitioning exchange) and the extra column (one more
     analysis of the input's plan) would be spent for nothing there.
     """
@@ -170,52 +172,90 @@ class SeriesMatrix:
         return len(self.labels)
 
 
+def _bin(
+    pdf: pd.DataFrame,
+    time_col: str,
+    attrs: Sequence[str],
+    measure_col: str,
+    agg: str,
+    sets: Iterable[Tuple[Tuple[str, ...], object]],
+) -> SeriesMatrix:
+    """The binning kernel of both pivots: one block of S per ``(grouping
+    set, rows)`` pair, in the order given, where ``rows`` indexes the set's
+    rows of ``pdf``; the empty set's rows give ``total``.
+
+    The time axis is the sorted distinct time values: a time value with no
+    rows is absent, not a zero column, and a NULL time is a ``ValueError``.
+    SUM adds the measure with NULL as 0, COUNT its non-NULL rows, so an
+    all-NULL slice is a zero row. Each attribute is factorized once over all
+    rows, in sorted order with NULL (None, NaN or NA) as the last code. A
+    set's slices are the distinct code tuples of its attributes among its
+    rows, in lexicographic order, so labels come out sorted by value with
+    NULL last; its (slices x n) block is one ``bincount`` over
+    ``slice * n + t``.
+    """
+    t, times = pd.factorize(pdf[time_col], sort=True)
+    if (t < 0).any():
+        raise ValueError(f"time column {time_col!r} holds NULL")
+    n = len(times)
+    val = pdf[measure_col].to_numpy(dtype=float, na_value=np.nan)
+    null = np.isnan(val)
+    w = np.where(null, 0.0, val) if agg == "sum" else (~null).astype(float)
+    keys = {a: pd.factorize(pdf[a], sort=True, use_na_sentinel=False) for a in attrs}
+
+    total = np.zeros(n)
+    labels: List[Explanation] = []
+    mats: List[np.ndarray] = []
+    for sub, rows in sets:
+        # Each row's slice id and each slice's codes, one attribute at a
+        # time. Factorizing the key (sorted) re-densifies it after each
+        # attribute, so it stays below (#slices so far) x (#values of the
+        # attribute), and drops the codes no row of the set holds.
+        row, sub_codes = 0, []
+        for a in sub:
+            codes, values = keys[a]
+            k = len(values)
+            row, key = pd.factorize(row * k + codes[rows], sort=True)
+            sub_codes = [c[key // k] for c in sub_codes] + [key % k]
+        g = len(sub_codes[0]) if sub else 1
+        mat = np.bincount(row * n + t[rows], weights=w[rows], minlength=g * n).reshape(g, n)
+        if not sub:
+            total = mat[0]
+            continue
+        mats.append(mat)
+        cols = [keys[a][1][col].tolist() for a, col in zip(sub, sub_codes)]
+        labels += _labels(sub, zip(*cols))
+    S = np.vstack(mats) if mats else np.zeros((0, n))
+    return SeriesMatrix(S=S, labels=labels, total=total, times=times.tolist(), attrs=tuple(attrs))
+
+
 def to_matrix(pdf: pd.DataFrame, attrs: Sequence[str]) -> SeriesMatrix:
     """Pivot collected cube rows (pandas) into a SeriesMatrix.
 
-    The result does not depend on the order of the rows: times, grouping
-    sets and keys are each sorted here (NULL keys last). The time axis is the sorted distinct time values of the rows: a time
-    value with no rows at all is absent from the axis, not a zero column.
-    Missing (explanation, t) combinations mean "no rows in that slice at t"
-    and become 0, which is exact for SUM/COUNT. A NULL VAL (SUM over a slice
-    whose measure is NULL in every row) also becomes 0, so the slice stays a
-    candidate, as in :func:`series_matrix_pandas` and for COUNT. Collect the
-    rows with :func:`to_pandas`, so integer keys label slices as integers.
+    The pivot of :func:`series_matrix_pandas`, through the same kernel
+    :func:`_bin`, over rows that are already aggregated: the time axis, the
+    labels and their order are that function's, and the result does not
+    depend on the order of the rows. A row's grouping set is read from its
+    flags, and the sets present are binned in :func:`_attr_subsets` order;
+    the rows with every flag set are ``total``. Missing (explanation, t)
+    combinations mean "no rows in that slice at t" and become 0, which is
+    exact for SUM/COUNT. A NULL VAL (SUM over a slice whose measure is NULL
+    in every row) also becomes 0, so the slice stays a candidate. Collect
+    the rows with :func:`to_pandas`, so integer keys label slices as
+    integers.
     """
-    pdf = pdf.fillna({VAL: 0.0})
-    gcols = [_gcol(a) for a in attrs]
-    times = sorted(pdf[TIME].unique())
-    t_index = {t: i for i, t in enumerate(times)}
-    n = len(times)
-
-    is_total = (
-        reduce(lambda a, b: a & b, [pdf[g] == 1 for g in gcols])
-        if gcols
-        else pd.Series(True, index=pdf.index)
-    )
-    total = np.zeros(n)
-    trows = pdf[is_total]
-    total[[t_index[t] for t in trows[TIME]]] = trows[VAL].to_numpy(dtype=float)
-
-    labels: List[Explanation] = []
-    mats: List[np.ndarray] = []
-    cand = pdf[~is_total]
-    for pattern, sub in cand.groupby(gcols, sort=True):
-        if not isinstance(pattern, tuple):
-            pattern = (pattern,)
-        sel = [a for a, g in zip(attrs, pattern) if g == 0]
-        # groupby, not pivot_table: pivot_table drops NULL keys, and with
-        # dropna=False it fills in the cartesian product of the key levels.
-        piv = (
-            sub.groupby([*sel, TIME], dropna=False)[VAL]
-            .first()
-            .unstack(TIME, fill_value=0.0)
-            .reindex(columns=times, fill_value=0.0)
-        )
-        labels += _labels(sel, piv.index)
-        mats.append(piv.to_numpy(dtype=float))
-    S = np.vstack(mats) if mats else np.zeros((0, n))
-    return SeriesMatrix(S=S, labels=labels, total=total, times=list(times), attrs=tuple(attrs))
+    # Bit i of a row's mask is set when attrs[i] is in its grouping set
+    # (flag 0). Spark groups by at most 64 columns, the time column
+    # included, so the mask fits in 64 bits.
+    inset = pdf[[_gcol(a) for a in attrs]].to_numpy() == 0
+    bits = np.uint64(1) << np.arange(len(attrs), dtype=np.uint64)
+    masks, row_set = np.unique(inset @ bits, return_inverse=True)
+    members = [[i for i in range(len(attrs)) if m >> i & 1] for m in masks.tolist()]
+    sets = [
+        (tuple(attrs[i] for i in members[j]), np.flatnonzero(row_set == j))
+        for j in sorted(range(len(masks)), key=lambda j: (len(members[j]), members[j]))
+    ]
+    return _bin(pdf, TIME, attrs, VAL, "sum", sets)
 
 
 def series_matrix_pandas(
@@ -228,54 +268,15 @@ def series_matrix_pandas(
 ) -> SeriesMatrix:
     """In-memory cube: the Spark cube's semantics in numpy and pandas.
 
-    Semantically identical to :func:`series_matrix` (asserted by tests);
-    ``measure_col`` must be a concrete column (pre-compute derived measures).
-    As there, the time axis is the sorted distinct time values: a time value
-    with no rows is absent, not a zero column.
-
-    The time column and each attribute are factorized once, in sorted order
-    with NULL (None, NaN or NA) as the last code. A grouping set's slices are
-    the distinct code tuples of its attributes, in lexicographic order, so
-    labels come out sorted by value with NULL last; its (slices x n) block is
-    one ``bincount`` over ``slice * n + t``. SUM adds the measure with NULL
-    as 0, COUNT its non-NULL rows, so an all-NULL slice is a zero row.
+    Semantically identical to :func:`series_matrix`, labels and their order
+    included (asserted by tests); ``measure_col`` must be a concrete column
+    (pre-compute derived measures). :func:`_bin` bins every grouping set of
+    size 0..beta_max over all rows, in :func:`_attr_subsets` order.
     """
     if agg not in ("sum", "count"):
         raise ValueError(f"unsupported aggregate {agg!r}")
-    t, t_uniq = pd.factorize(pdf[time_col], sort=True)
-    if (t < 0).any():
-        raise ValueError(f"time column {time_col!r} holds NULL")
-    times = t_uniq.tolist()
-    n = len(times)
-    val = pdf[measure_col].to_numpy(dtype=float, na_value=np.nan)
-    null = np.isnan(val)
-    w = np.where(null, 0.0, val) if agg == "sum" else (~null).astype(float)
-    total = np.bincount(t, weights=w, minlength=n)
-
-    codes: Dict[str, np.ndarray] = {}
-    values: Dict[str, list] = {}
-    for a in attrs:
-        codes[a], uniq = pd.factorize(pdf[a], sort=True, use_na_sentinel=False)
-        values[a] = uniq.tolist()
-    labels: List[Explanation] = []
-    mats: List[np.ndarray] = []
-    for sub in _attr_subsets(attrs, beta_max)[1:]:
-        # Each row's slice id and each slice's codes, one attribute at a
-        # time; np.unique re-densifies the key after each attribute, so it
-        # stays below (#slices so far) x (#values of the attribute).
-        row, sub_codes = codes[sub[0]], [np.arange(len(values[sub[0]]))]
-        for a in sub[1:]:
-            k = len(values[a])
-            key, row = np.unique(row * k + codes[a], return_inverse=True)
-            sub_codes = [c[key // k] for c in sub_codes] + [key % k]
-        g = len(sub_codes[0])
-        mats.append(np.bincount(row * n + t, weights=w, minlength=g * n).reshape(g, n))
-        cols = [[values[a][c] for c in col.tolist()] for a, col in zip(sub, sub_codes)]
-        labels += _labels(sub, zip(*cols))
-    S = np.vstack(mats) if mats else np.zeros((0, n))
-    return SeriesMatrix(
-        S=S, labels=labels, total=total, times=times, attrs=tuple(attrs)
-    )
+    sets = ((sub, slice(None)) for sub in _attr_subsets(attrs, beta_max))
+    return _bin(pdf, time_col, attrs, measure_col, agg, sets)
 
 
 def series_matrix(

@@ -192,6 +192,28 @@ class TestInputValidation:
         with pytest.raises(ValueError, match=r"S needs at least 2 time points"):
             explain_series(S[:, :1], labels, ["cat"], total[:1])
 
+    def test_more_labels_than_rows(self):
+        """An extra label is an error, not dropped by the filter."""
+        S, labels, total = _planted(n=40)
+        with pytest.raises(ValueError, match=r"^4 labels for the 3 rows of S"):
+            explain_series(S, labels + [Explanation.of(cat="d")], ["cat"], total)
+
+    def test_fewer_labels_than_rows(self):
+        S, labels, total = _planted(n=40)
+        with pytest.raises(ValueError, match=r"^2 labels for the 3 rows of S"):
+            explain_series(S, labels[:2], ["cat"], total)
+
+    @pytest.mark.parametrize("n_times", [10, 100])
+    def test_times_length(self, n_times):
+        S, labels, total = _planted(n=40)
+        with pytest.raises(ValueError, match=rf"^times has {n_times} values, S has 40"):
+            explain_series(S, labels, ["cat"], total, times=range(n_times))
+
+    def test_total_length_without_filter(self):
+        S, labels, total = _planted(n=40)
+        with pytest.raises(ValueError, match=r"^total has shape \(39,\), S has 40"):
+            explain_series(S, labels, ["cat"], total[:-1], Config(use_filter=False))
+
     def test_repeated_label(self):
         """A repeated label is an error, not one candidate whose series is
         the last row and that counts twice in epsilon; the attach-to-cuts

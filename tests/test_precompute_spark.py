@@ -97,10 +97,8 @@ class TestMatrixParity:
         sdf = spark.createDataFrame(synth_rel)
         sm_s = series_matrix(sdf, "T", ["category"], "sales", "sum")
         sm_p = series_matrix_pandas(synth_rel, "T", ["category"], "sales", "sum")
-        assert set(sm_s.labels) == set(sm_p.labels)
-        idx = {e: i for i, e in enumerate(sm_s.labels)}
-        perm = [idx[e] for e in sm_p.labels]
-        np.testing.assert_allclose(sm_s.S[perm], sm_p.S)
+        assert sm_s.labels == sm_p.labels
+        np.testing.assert_allclose(sm_s.S, sm_p.S)
         np.testing.assert_allclose(sm_s.total, sm_p.total)
         assert sm_s.times == sm_p.times
 
@@ -114,10 +112,8 @@ class TestMatrixParity:
                 spark.createDataFrame(rel), names[0], attrs, "bottles", beta_max=3
             )
             sm_p = series_matrix_pandas(rel, names[0], attrs, "bottles", beta_max=3)
-            assert set(sm_s.labels) == set(sm_p.labels), names
-            idx = {e: i for i, e in enumerate(sm_s.labels)}
-            perm = [idx[e] for e in sm_p.labels]
-            np.testing.assert_allclose(sm_s.S[perm], sm_p.S)
+            assert sm_s.labels == sm_p.labels, names
+            np.testing.assert_allclose(sm_s.S, sm_p.S)
             np.testing.assert_allclose(sm_s.total, sm_p.total)
 
     def test_missing_slices_are_zero(self, spark):
@@ -129,6 +125,23 @@ class TestMatrixParity:
 
         row_b = sm.labels.index(Explanation.of(g="b"))
         np.testing.assert_allclose(sm.S[row_b], [0.0, 7.0])
+
+
+    def test_explain_is_the_same_on_both_paths(self, spark):
+        """The Spark cube gives its candidates the ids of the in-memory
+        cube, so ``explain_relation`` and ``explain_series`` over
+        ``series_matrix_pandas`` rank, break ties and segment alike."""
+        from repro.core.pipeline import Config, explain_relation, explain_series
+
+        data = liquor_like.generate(n=32, n_combos=100, seed=4)
+        rel, attrs, cfg = data.relation_df, list(data.attrs), Config(gv_m_bar0=8)
+        got = explain_relation(spark.createDataFrame(rel), "date", attrs, "bottles", cfg=cfg)
+        sm = series_matrix_pandas(rel, "date", attrs, "bottles", beta_max=cfg.beta_max)
+        want = explain_series(sm.S, sm.labels, attrs, sm.total, cfg, times=sm.times)
+        assert (got.K, got.cuts) == (want.K, want.cuts)
+        lists = [[(lab, sign) for lab, sign, _ in seg.explanations] for seg in got.segments]
+        assert lists == [[(lab, sign) for lab, sign, _ in seg.explanations] for seg in want.segments]
+        assert got.total_variance == pytest.approx(want.total_variance, rel=1e-12)
 
 
 class TestOneTaskPerCore:
@@ -160,9 +173,8 @@ class TestOneTaskPerCore:
 
         sm_s = series_matrix(sdf, "date", attrs, "bottles", beta_max=2)
         sm_p = series_matrix_pandas(rel, "date", attrs, "bottles", beta_max=2)
-        assert set(sm_s.labels) == set(sm_p.labels)
-        idx = {e: i for i, e in enumerate(sm_s.labels)}
-        np.testing.assert_allclose(sm_s.S[[idx[e] for e in sm_p.labels]], sm_p.S)
+        assert sm_s.labels == sm_p.labels
+        np.testing.assert_allclose(sm_s.S, sm_p.S)
         np.testing.assert_allclose(sm_s.total, sm_p.total)
 
 
@@ -203,13 +215,16 @@ def _duckdb_cube(rel, attrs, beta_max):
 
 class TestNullValues:
     def _check_paths(self, spark, rel, schema, attrs, total):
-        """The Spark cube and the pandas cube both equal DuckDB."""
+        """The Spark cube and the pandas cube both equal DuckDB, with the
+        same labels in the same order."""
         expected = _duckdb_cube(rel, attrs, beta_max=2)
         sdf = spark.createDataFrame(rel, schema)
-        for sm in (
+        sms = (
             series_matrix(sdf, "t", attrs, "v", beta_max=2),
             series_matrix_pandas(rel, "t", attrs, "v", beta_max=2),
-        ):
+        )
+        assert sms[0].labels == sms[1].labels
+        for sm in sms:
             got = {e: list(row) for e, row in zip(sm.labels, sm.S)}
             assert got == expected
             np.testing.assert_allclose(sm.total, total)
@@ -276,6 +291,20 @@ class TestNullValues:
             for e in sm.labels:
                 h = e.as_dict().get("h")
                 assert h is None or isinstance(h, (int, np.integer))
+
+    def test_nan_and_null_float_keys_bin_alike(self, spark):
+        """Spark groups a double key's NaN and NULL apart, and ``toPandas``
+        reads both as NaN; the Spark cube sums the two rows into one slice,
+        as the in-memory cube does, rather than keeping either row alone."""
+        import pandas as pd
+
+        rows = [(1, float("nan"), 1.0), (1, None, 2.0), (2, float("nan"), 4.0), (2, 1.5, 8.0)]
+        rel = pd.DataFrame(rows, columns=["t", "a", "v"])
+        sm_s = series_matrix(spark.createDataFrame(rows, "t int, a double, v double"), "t", ["a"], "v")
+        sm_p = series_matrix_pandas(rel, "t", ["a"], "v")
+        assert sm_s.labels == sm_p.labels
+        np.testing.assert_array_equal(sm_s.S, sm_p.S)
+        np.testing.assert_array_equal(sm_s.S.sum(axis=0), sm_s.total)
 
 
 def test_time_gap_is_absent_from_the_axis(spark):

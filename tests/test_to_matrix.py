@@ -1,4 +1,5 @@
-"""``to_matrix`` is independent of the order of the collected cube rows.
+"""``to_matrix`` is independent of the order of the collected cube rows,
+and bins only the grouping sets present in them.
 
 ``series_matrix`` collects the Spark cube without sorting it, so the pivot
 must give the same matrix for any row order Spark hands back."""
@@ -9,7 +10,7 @@ import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.precompute import TIME, VAL, _gcol, to_matrix
+from repro.core.precompute import TIME, VAL, _attr_subsets, _gcol, to_matrix
 
 ATTRS = ("g", "h")
 # Key domains with a NULL each: a string column (None) and an integer
@@ -65,3 +66,25 @@ def test_row_order_does_not_matter(cube):
     assert got.times == want.times
     assert got.S.tobytes() == want.S.tobytes()
     assert got.total.tobytes() == want.total.tobytes()
+
+
+def test_many_attributes_bin_only_the_sets_present():
+    """30 attributes, one grouping set per attribute plus one pair: only the
+    sets present in the rows are binned (2^30 subsets would not finish), in
+    ``_attr_subsets`` order, by size and then by attribute position."""
+    attrs = [f"a{i}" for i in range(30)]
+    sets = [("a0", "a1"), *((a,) for a in reversed(attrs)), ()]
+    rows = [
+        {TIME: t, **{a: "x" for a in sub}, **{_gcol(a): int(a not in sub) for a in attrs},
+         VAL: float(10 * len(sub) + t)}
+        for sub in sets
+        for t in (2, 1)
+    ]
+    pdf = pd.DataFrame(rows, columns=[TIME, *attrs, *map(_gcol, attrs), VAL])
+    sm = to_matrix(pdf, attrs)
+    want = [sub for sub in _attr_subsets(attrs, 2) if sub in sets[:-1]]
+    assert [e.attrs for e in sm.labels] == want
+    assert all(v == "x" for e in sm.labels for _, v in e.preds)
+    assert sm.times == [1, 2]
+    np.testing.assert_array_equal(sm.S, [[10 * len(sub) + 1, 10 * len(sub) + 2] for sub in want])
+    np.testing.assert_array_equal(sm.total, [1.0, 2.0])
