@@ -27,9 +27,12 @@ def test_traced_explain_and_diff_are_complete(spark):
             res = explain_series(sd.S, sd.labels, sd.attrs, sd.total)
         with tr.span("diff"):
             topm_for_relations(test_df, ctrl_df, ["g", "h"], "m", m=2)
+        # An empty side still plans its cube: a diff is two cube plans.
+        with tr.span("diff"):
+            topm_for_relations(test_df, ctrl_df.limit(0), ["g", "h"], "m", m=2)
     finally:
         tr.uninstall()
     roots = tr.roots()
-    assert [tr.spans[r].name for r in roots] == ["explain", "diff"]
+    assert [tr.spans[r].name for r in roots] == ["explain", "diff", "diff"]
     wall = sum(tr.spans[r].dur for r in roots)
     assert check_trace(tr, wall, [(roots[0], res)]) == []

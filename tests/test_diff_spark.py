@@ -3,9 +3,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.diff import topm_for_relations, two_relation_diff
-from repro.core.precompute import _gcol
-from repro.core.types import Explanation
+from repro.core.diff import _signed_diff, topm_for_relations, two_relation_diff
+from repro.core.precompute import _gcol, to_pandas
+from repro.core.types import Explanation, pairwise_non_overlapping
 from repro.datasets import synthetic
 from repro.oracle import assert_equivalent
 
@@ -235,3 +235,147 @@ class TestTopM:
             out = topm_for_relations(test, ctrl, [g], "m", m=2)
             d = {e.preds: (gamma, t) for e, gamma, t in out}
             assert d == {((g, "b"),): (11.0, -1), ((g, "a"),): (9.0, 1)}
+
+
+class TestValidation:
+    """Bad arguments raise before any Spark call: the relations here are not
+    DataFrames, so reaching Spark would fail with another error."""
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"m": 0}, "m"),
+            ({"m": -1}, "m"),
+            ({"beta_max": 0}, "beta_max"),
+            ({"agg": "avg"}, "agg"),
+        ],
+    )
+    def test_topm_for_relations(self, kwargs, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            topm_for_relations(object(), object(), ["g"], "m", **kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", [({"beta_max": 0}, "beta_max"), ({"agg": "max"}, "agg")])
+    def test_two_relation_diff(self, kwargs, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            two_relation_diff(object(), object(), ["g"], "m", **kwargs)
+
+
+class TestCount:
+    def test_count_vs_duckdb(self, spark):
+        """COUNT(m) counts the non-NULL measures of a slice: a NULL measure row
+        is skipped, and a slice with only NULL measures counts 0."""
+        import duckdb
+
+        schema = "g string, h bigint, m double"
+        test = pd.DataFrame(
+            {
+                "g": ["a", "a", "b", "b", "c", None],
+                "h": pd.array([1, 2, 1, None, 2, 2], dtype="Int64"),
+                "m": pd.array([3.0, None, 2.0, 7.0, None, 1.0], dtype="Float64"),
+            }
+        )
+        ctrl = pd.DataFrame(
+            {
+                "g": ["a", "b", "b", "b", None],
+                "h": pd.array([1, 1, 2, 2, 1], dtype="Int64"),
+                "m": pd.array([1.0, 1.0, None, 4.0, 5.0], dtype="Float64"),
+            }
+        )
+        t_sdf = spark.createDataFrame(test, schema)
+        c_sdf = spark.createDataFrame(ctrl, schema)
+        gg, gh = _gcol("g"), _gcol("h")
+        cube = """
+            SELECT g, h, GROUPING(g) AS gg, GROUPING(h) AS gh, COUNT(m) AS v
+            FROM {} GROUP BY GROUPING SETS ((), (g), (h), (g, h))
+        """
+        sql = f"""
+            WITH t AS ({cube.format("rt")}), c AS ({cube.format("rc")})
+            SELECT COALESCE(t.g, c.g) AS g, COALESCE(t.h, c.h) AS h,
+                   COALESCE(t.gg, c.gg) AS "{gg}", COALESCE(t.gh, c.gh) AS "{gh}",
+                   ABS(COALESCE(t.v, 0) - COALESCE(c.v, 0)) AS gamma,
+                   CAST(SIGN(COALESCE(t.v, 0) - COALESCE(c.v, 0)) AS INT) AS tau,
+                   2 - COALESCE(t.gg, c.gg) - COALESCE(t.gh, c.gh) AS __order
+            FROM t FULL OUTER JOIN c
+              ON t.gg = c.gg AND t.gh = c.gh
+             AND t.g IS NOT DISTINCT FROM c.g AND t.h IS NOT DISTINCT FROM c.h
+        """
+        got = two_relation_diff(t_sdf, c_sdf, ["g", "h"], "m", agg="count", beta_max=2)
+        assert_equivalent(got, sql, rt=test, rc=ctrl)
+
+        duck = duckdb.connect()
+        try:
+            duck.register("rt", test)
+            duck.register("rc", ctrl)
+            rows = duck.execute(f'SELECT g, h, "{gg}", "{gh}", gamma, tau FROM ({sql})').fetchall()
+        finally:
+            duck.close()
+        want = {}
+        for g, h, fg, fh, gamma, tau in rows:
+            preds = tuple((a, x) for a, x, flag in (("g", g, fg), ("h", h, fh)) if flag == 0)
+            want[Explanation(preds)] = (gamma, tau)
+        out = topm_for_relations(t_sdf, c_sdf, ["g", "h"], "m", agg="count", beta_max=2, m=3)
+        # Six candidates have gamma 1 (h=1, h=None, g=b & h=None, g=b & h=2,
+        # g=None & h=1, g=None & h=2) and at most three of them do not overlap.
+        assert len(out) == 3 and sum(g for _, g, _ in out) == 3.0
+        assert pairwise_non_overlapping(e for e, _, _ in out)
+        for e, gamma, tau in out:
+            assert want[e] == (gamma, tau)
+        assert want[Explanation.of(g="c")] == (0, 0)  # only a NULL measure
+
+
+def _seeded_relation(seed: int, n: int) -> pd.DataFrame:
+    """Rows over a string key with NULLs, an integer key with NULLs and a
+    measure with NULLs; slice g=z holds only NULL measures."""
+    rng = np.random.default_rng(seed)
+    g = rng.choice(np.array(["x", "y", "z", None], dtype=object), n)
+    h = pd.array(rng.integers(1, 4, n), dtype="Int64")
+    h[rng.random(n) < 0.2] = pd.NA
+    m = pd.array(np.round(rng.uniform(-5.0, 20.0, n), 2), dtype="Float64")
+    m[(rng.random(n) < 0.15) | (g == "z")] = pd.NA
+    return pd.DataFrame({"g": g, "h": h, "m": m})
+
+
+class TestFastPathMatchesOracle:
+    """``topm_for_relations`` diffs two collected cubes on the driver; its
+    signed diff equals ``two_relation_diff``'s Spark diff for every
+    explanation, the order-0 row included."""
+
+    @pytest.mark.parametrize("agg", ["sum", "count"])
+    @pytest.mark.parametrize("empty", [None, "test", "control", "both"])
+    def test_signed_diff(self, spark, agg, empty):
+        schema = "g string, h bigint, m double"
+        test = spark.createDataFrame(_seeded_relation(7, 40), schema)
+        ctrl = spark.createDataFrame(_seeded_relation(8, 30), schema)
+        if empty in ("test", "both"):
+            test = test.limit(0)
+        if empty in ("control", "both"):
+            ctrl = ctrl.limit(0)
+        attrs = ["g", "h"]
+        labels, d, overall = _signed_diff(test, ctrl, attrs, "m", agg, 2)
+        got = {e: (abs(v), int(np.sign(v))) for e, v in zip(labels, d)}
+
+        rows = to_pandas(two_relation_diff(test, ctrl, attrs, "m", agg, beta_max=2))
+        want, want_overall = {}, []
+        for r in rows.to_dict("records"):
+            preds = tuple((a, r[a]) for a in attrs if r[_gcol(a)] == 0)
+            if preds:
+                want[Explanation(preds)] = (r["gamma"], r["tau"])
+            else:
+                want_overall.append((r["gamma"], r["tau"]))
+
+        assert set(got) == set(want)
+        for e, (gamma, tau) in want.items():
+            assert got[e][1] == tau, e
+            assert got[e][0] == pytest.approx(gamma, rel=1e-12, abs=0.0), e
+        for e in labels:
+            for _, v in e.preds:
+                assert v is None or isinstance(v, str) or type(v) is int, e
+        if empty == "both":
+            assert (labels, want_overall, overall) == ([], [], 0.0)
+            assert topm_for_relations(test, ctrl, attrs, "m", agg, beta_max=2) == []
+        else:
+            assert len(want_overall) == 1
+            assert int(np.sign(overall)) == want_overall[0][1]
+            assert abs(overall) == pytest.approx(want_overall[0][0], rel=1e-12, abs=0.0)
+            assert any(e.label.startswith("h=1") for e in labels)
+            assert Explanation.of(g="z") in got
