@@ -101,11 +101,3 @@ def segments_of_cuts(cuts: Sequence[int], n: int) -> List[Segment]:
     """Turn interior cuts into the (s, e) segment list over [0, n-1]."""
     bounds = [0] + sorted(int(c) for c in cuts) + [n - 1]
     return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-
-
-def objective_of_cuts(
-    cuts: Sequence[int], n: int, cost_of: Dict[Segment, float]
-) -> float:
-    """Total weighted variance of an arbitrary segmentation (for Fig. 6's
-    ground-truth-rank experiment)."""
-    return sum(cost_of[seg] for seg in segments_of_cuts(cuts, n))

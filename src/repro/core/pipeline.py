@@ -62,6 +62,12 @@ class Config:
         for name in ("m", "beta_max", "k_max", "gv_m_bar0"):
             if getattr(self, name) < 1:
                 raise ValueError(f"Config.{name} must be >= 1, got {getattr(self, name)}")
+        if self.K is not None and self.K < 1:
+            raise ValueError(f"Config.K must be >= 1 or None, got {self.K}")
+        if not (np.isfinite(self.filter_ratio) and self.filter_ratio >= 0):
+            raise ValueError(
+                f"Config.filter_ratio must be finite and >= 0, got {self.filter_ratio}"
+            )
         if self.metric not in ALL_METRICS:
             raise ValueError(
                 f"Config.metric must be one of {ALL_METRICS}, got {self.metric!r}"

@@ -1,7 +1,9 @@
-"""Smoke tests for the table/figure jobs (scaled-down configurations)."""
+"""Smoke tests for the table/figure jobs (scaled-down configurations), and
+the tables' and figures' claims on scaled instances."""
 import sys
 from pathlib import Path
 
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -18,7 +20,13 @@ import table4_sp500  # noqa: E402
 import table5_liquor  # noqa: E402
 import table6_stats  # noqa: E402
 import table7_quality  # noqa: E402
-from repro.datasets import covid_like, liquor_like, sp500_like  # noqa: E402
+from repro.core.pipeline import Config, explain_series  # noqa: E402
+from repro.core.precompute import series_matrix_pandas  # noqa: E402
+from repro.core.segcost import ALL_METRICS  # noqa: E402
+from repro.datasets import covid_like, liquor_like, sp500_like, synthetic  # noqa: E402
+from repro.eval.harness import explain_fixed_cuts, run_baseline  # noqa: E402
+from repro.eval.metrics import distance_percent  # noqa: E402
+from repro.segbase import BASELINES  # noqa: E402
 
 
 @pytest.mark.slow
@@ -33,6 +41,9 @@ class TestTableJobs:
         tops = [s.split(" ")[0] for s in daily["Top-1 Expl"]]
         expected = [seg[0][0] for seg in covid_like.EXPECTED_TOP3]
         assert tops == expected
+        for _, rows in df.groupby("series"):
+            assert (rows["K"] == len(rows)).all()
+            assert len(rows) >= 2
 
     def test_table4(self):
         df = table4_sp500.run()
@@ -48,6 +59,7 @@ class TestTableJobs:
     def test_table5(self):
         df = table5_liquor.run()
         assert len(df) == 7
+        assert (df["K"] == len(df)).all()
         for (_, row), exp in zip(df.iterrows(), liquor_like.EXPECTED_TOP3):
             for r, (label, sign) in enumerate(exp, start=1):
                 assert row[f"Top-{r} Expl"] == f"{label} {'+' if sign > 0 else '-'}"
@@ -64,6 +76,7 @@ class TestTableJobs:
         liquor = df[df.dataset == "Liquor"].iloc[0]
         assert liquor["epsilon"] > 1000  # large-eps regime
         assert liquor["n"] == 128
+        assert df[df.dataset == "S&P 500"].iloc[0]["epsilon"] > 100
 
 
 @pytest.mark.slow
@@ -76,7 +89,8 @@ class TestQualityAndLatencyJobs:
         # variance may deviate slightly in either direction (paper Table 7:
         # < 1% on Covid, identical elsewhere). Require "close".
         for _, row in df.iterrows():
-            assert row["variance_o1_o2"] >= row["variance_vanilla"] * 0.95 - 1e-6
+            assert row["variance_vanilla"] >= 0
+            assert row["variance_o1_o2"] >= row["variance_vanilla"] * 0.95 - 1e-9
             assert row["variance_o1_o2"] <= row["variance_vanilla"] * 1.5 + 1.0
 
     def test_fig15_small_subset(self, monkeypatch):
@@ -88,6 +102,13 @@ class TestQualityAndLatencyJobs:
         df = fig15_latency.run(small=True)
         assert set(df["variant"]) == {"w filter", "O1+O2"}
         assert (df["total_s"] > 0).all()
+
+    def test_fig15_variants_on_scaled_liquor(self):
+        lq = liquor_like.generate(n=64, n_combos=300)
+        sm = series_matrix_pandas(lq.relation(), "date", list(lq.attrs), "bottles")
+        for variant, cfg in fig15_latency.VARIANTS.items():
+            res = explain_series(sm.S, sm.labels, list(sm.attrs), sm.total, cfg)
+            assert res.K >= 2, variant
 
     def test_fig16_small(self, monkeypatch):
         # restrict to the two covid-like datasets for speed
@@ -101,24 +122,60 @@ class TestQualityAndLatencyJobs:
         methods = set(df["method"])
         assert {"TSExplain", "VanillaTSExplain", "Bottom-Up", "FLUSS", "NNSegment"} <= methods
 
+    def test_fig16_baselines_explained_at_tsexplain_k(self):
+        cv = covid_like.generate(n=200)
+        S, total = cv.series("daily")
+        opt_k = explain_series(S, cv.labels, list(cv.attrs), total, Config()).K
+        assert opt_k >= 2
+        for name in BASELINES:
+            cuts, _ = run_baseline(name, total, opt_k)
+            segs = explain_fixed_cuts(S, cv.labels, list(cv.attrs), cuts)
+            assert len(segs) == opt_k, name
+
     def test_fig17_single_length(self):
         df = fig17_scalability.run(lengths=[60], budget=100, n_reps=1)
         assert set(df["method"]) == {"Vanilla", "TSExplain"}
         assert (df["seconds"] > 0).all()
 
+    @pytest.mark.parametrize(
+        "cfg, lengths",
+        [(fig17_scalability.OPT, [200, 400, 800]), (fig17_scalability.VANILLA, [200, 400])],
+        ids=["TSExplain", "Vanilla"],
+    )
+    def test_fig17_lengths_find_segments(self, cfg, lengths):
+        for n in lengths:
+            sd = synthetic.generate(n=n, snr_db=40, seed=300)
+            res = explain_series(sd.S, sd.labels, list(sd.attrs), sd.total, cfg)
+            assert res.K >= 2, n
+
 
 @pytest.mark.slow
 class TestEffectivenessJobs:
     def test_fig6_tiny(self):
-        df = fig6_variance_rank.run(n_datasets=1, n_samples=100)
+        df = fig6_variance_rank.run(n_datasets=1, n_samples=500)
         assert len(df) == 7  # one row per SNR level
         metric_cols = [c for c in df.columns if c != "snr_db"]
-        assert len(metric_cols) == 8
+        assert metric_cols == list(ALL_METRICS)
         # ranks are in [1, 8]
         assert ((df[metric_cols] >= 1) & (df[metric_cols] <= 8)).all().all()
+        # headline claim at moderate noise: tse is never beaten by an
+        # alternative (tied metrics share their mean rank)
+        snr40 = df[df.snr_db == 40.0].iloc[0]
+        assert snr40["tse"] == snr40[metric_cols].min()
 
     def test_fig10_tiny(self):
         df = fig10_effectiveness.run(n_datasets=1)
         assert len(df) == 7
         for col in ("TSExplain", "Bottom-Up", "FLUSS", "NNSegment"):
             assert (df[col] >= 0).all()
+
+    def test_fig10_clean_dataset(self):
+        sd = synthetic.generate(n=100, snr_db=45, seed=210)
+        res = explain_series(
+            sd.S, sd.labels, list(sd.attrs), sd.total,
+            Config(K=sd.gt_k, use_filter=False),
+        )
+        assert distance_percent(res.cuts, sd.gt_cuts, sd.n) <= 5.0
+        for name in BASELINES:
+            cuts, _ = run_baseline(name, sd.total, sd.gt_k)
+            assert np.isfinite(distance_percent(cuts, sd.gt_cuts, sd.n)), name

@@ -10,9 +10,9 @@ from repro.core.kseg import (
     all_segments,
     build_cost_matrix,
     dp_segment,
-    objective_of_cuts,
     segments_of_cuts,
 )
+from repro.eval.metrics import objective
 
 
 def _random_costs(seed, n):
@@ -41,7 +41,7 @@ def test_dp_matches_brute_force(seed, K):
     res = dp_segment(C, list(range(n)), k_max=5)
     bf_total, bf_cuts = _brute_force(n, K, cost_of)
     assert res.totals[K] == pytest.approx(bf_total)
-    assert objective_of_cuts(res.cuts[K], n, cost_of) == pytest.approx(bf_total)
+    assert objective(res.cuts[K], n, cost_of) == pytest.approx(bf_total)
 
 
 @settings(max_examples=60, deadline=None)
@@ -66,7 +66,7 @@ def test_dp_matches_brute_force_property(data):
         bf_total, _ = _brute_force(n, K, cost_of)
         assert res.totals[K] == pytest.approx(bf_total)
         assert set(res.cuts[K]) <= set(positions)
-        assert objective_of_cuts(res.cuts[K], n, cost_of) == pytest.approx(bf_total)
+        assert objective(res.cuts[K], n, cost_of) == pytest.approx(bf_total)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -138,7 +138,7 @@ class TestConfigValidation:
 
     def _explain(self, **kw):
         S, labels, total = _planted()
-        return explain_series(S, labels, ["cat"], total, Config(K=2, **kw))
+        return explain_series(S, labels, ["cat"], total, Config(**{"K": 2, **kw}))
 
     def test_m(self):
         with pytest.raises(ValueError, match=r"Config\.m must"):
@@ -159,6 +159,16 @@ class TestConfigValidation:
     def test_beta_max(self):
         with pytest.raises(ValueError, match=r"Config\.beta_max must"):
             self._explain(beta_max=0)
+
+    @pytest.mark.parametrize("K", [0, -3])
+    def test_K(self, K):
+        with pytest.raises(ValueError, match=r"Config\.K must"):
+            self._explain(K=K)
+
+    @pytest.mark.parametrize("ratio", [-0.001, float("nan"), float("inf")])
+    def test_filter_ratio(self, ratio):
+        with pytest.raises(ValueError, match=r"Config\.filter_ratio must"):
+            self._explain(filter_ratio=ratio)
 
 
 class TestInputValidation:

@@ -2,14 +2,16 @@
 lineitem ⋈ part, explained by (l_returnflag, l_linestatus, p_brand).
 
 Exercises the shuffle join + GROUPING SETS aggregation + time ordering path
-end-to-end, with DuckDB oracle checks on the relational stages.
+end-to-end, with DuckDB oracle checks on the relational stages, and the cube
+and the two-relation diff at SF = 0.1.
 """
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.diff import topm_for_relations
 from repro.core.pipeline import Config, explain_relation
-from repro.core.precompute import TIME, VAL, _gcol, candidate_series
+from repro.core.precompute import TIME, VAL, _gcol, candidate_series, series_matrix
 from repro.oracle import assert_equivalent
 from repro.synth_data import lineitem, part
 
@@ -17,10 +19,9 @@ SF = 0.002
 ATTRS = ["l_returnflag", "l_linestatus", "p_brand"]
 
 
-@pytest.fixture(scope="module")
-def joined(spark):
-    li = lineitem(spark, sf=SF)
-    pt = part(spark, sf=SF)
+def _joined(spark, sf):
+    li = lineitem(spark, sf=sf)
+    pt = part(spark, sf=sf)
     df = (
         li.join(pt, li.l_partkey == pt.p_partkey)
         .withColumn("month", F.date_format("l_shipdate", "yyyy-MM"))
@@ -29,6 +30,18 @@ def joined(spark):
     )
     df.cache().count()
     return df
+
+
+@pytest.fixture(scope="module")
+def joined(spark):
+    return _joined(spark, SF)
+
+
+@pytest.fixture(scope="module")
+def joined_sf01(spark):
+    df = _joined(spark, 0.1)
+    yield df
+    df.unpersist()
 
 
 class TestJoinAggSort:
@@ -79,3 +92,25 @@ class TestJoinAggSort:
         cand = candidate_series(joined, "month", ATTRS, "revenue", beta_max=1)
         pdf = cand.filter("__order = 0").toPandas()
         assert list(pdf[TIME]) == sorted(pdf[TIME])
+
+
+class TestScaleFactor01:
+    def test_cube_order2_rows(self, joined_sf01):
+        cand = candidate_series(joined_sf01, "month", ATTRS, "revenue", beta_max=2)
+        assert cand.count() > 1000
+
+    def test_series_matrix(self, joined_sf01):
+        sm = series_matrix(joined_sf01, "month", ATTRS, "revenue", beta_max=2)
+        assert sm.epsilon > 30
+        assert sm.n == 84  # 7 years of months in TPC-H-lite shipdates
+
+    def test_two_relation_diff(self, joined_sf01):
+        top = topm_for_relations(
+            joined_sf01.filter(F.col("month").startswith("1997")),
+            joined_sf01.filter(F.col("month").startswith("1996")),
+            ATTRS,
+            "revenue",
+            beta_max=3,
+            m=3,
+        )
+        assert len(top) == 3
